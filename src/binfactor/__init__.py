@@ -11,11 +11,13 @@ from .gaussian import (
     InversionResult,
     bvn_boundary_value,
     bvn_upper_tail,
+    bvn_upper_tail_batch,
     bvn_upper_tail_drho,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
     tetrachoric_invert,
+    tetrachoric_invert_batch,
 )
 from .model_io import (
     DataFormatError,

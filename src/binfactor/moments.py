@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import RHO_CLAMP, std_normal_quantile, tetrachoric_invert
+from .gaussian import std_normal_quantile, tetrachoric_invert_batch
 
 
 @dataclass(frozen=True)
@@ -164,13 +164,11 @@ def tetrachoric_from_probabilities(
 
 
 def _invert_joint_matrix(c_hat: np.ndarray, joint: np.ndarray) -> TetrachoricMatrix:
+    """Invert every pair j1 < j2 of the upper triangle in one batched call."""
     p = c_hat.size
+    j1, j2 = np.triu_indices(p, 1)
+    rho, _, clamped = tetrachoric_invert_batch(c_hat[j1], c_hat[j2], joint[j1, j2])
     sigma = np.eye(p)
-    flagged = []
-    for j1 in range(p):
-        for j2 in range(j1 + 1, p):
-            res = tetrachoric_invert(c_hat[j1], c_hat[j2], joint[j1, j2])
-            sigma[j1, j2] = sigma[j2, j1] = res.rho_hat
-            if res.clamped:
-                flagged.append((j1, j2))
+    sigma[j1, j2] = sigma[j2, j1] = rho
+    flagged = zip(j1[clamped].tolist(), j2[clamped].tolist())
     return TetrachoricMatrix(sigma, frozenset(flagged))

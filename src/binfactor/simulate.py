@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gaussian import bvn_upper_tail, std_normal_cdf
+from .gaussian import bvn_upper_tail_batch, std_normal_cdf
 from .moments import BinaryMatrix, TetrachoricMatrix, estimate_tetrachoric
 from .scores import LatentScores, ScoreConfig, estimate_scores
 from .spectral import FactorModel, _fit_pieces, leading_subspace, subspace_discrepancy, sym_eigen
@@ -115,15 +115,11 @@ def population_sigma(tm: TrueModel) -> np.ndarray:
 
 def population_probabilities(tm: TrueModel) -> tuple[np.ndarray, np.ndarray]:
     """Exact marginal and pairwise success probabilities under the model."""
-    p = tm.c.size
     sigma = population_sigma(tm)
     p_marg = np.asarray(std_normal_cdf(-tm.c), dtype=float)
-    p_joint = np.empty((p, p))
-    np.fill_diagonal(p_joint, p_marg)
-    for j1 in range(p):
-        for j2 in range(j1 + 1, p):
-            val = bvn_upper_tail(tm.c[j1], tm.c[j2], sigma[j1, j2])
-            p_joint[j1, j2] = p_joint[j2, j1] = val
+    j1, j2 = np.triu_indices(tm.c.size, 1)
+    p_joint = np.diag(p_marg)
+    p_joint[j1, j2] = p_joint[j2, j1] = bvn_upper_tail_batch(tm.c[j1], tm.c[j2], sigma[j1, j2])
     return p_marg, p_joint
 
 

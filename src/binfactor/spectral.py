@@ -129,7 +129,10 @@ def noise_variances(
 
     Returns the variance vector (floored below at ``floor``, since a
     finite-sample projection can dip negative) and the boolean mask of
-    floored entries.
+    floored entries.  With Q = I - U U^T for the orthonormal basis U and a
+    symmetric ``sigma``, diag(Q sigma Q) = diag(sigma) - 2 rowsum(U o sigma U)
+    + rowsum(U (U^T sigma U) o U), which costs O(p^2 d) rather than the
+    O(p^3) of forming Q sigma Q.
     """
     sigma = np.asarray(sigma, dtype=float)
     basis = np.asarray(basis, dtype=float)
@@ -138,8 +141,12 @@ def noise_variances(
             f"dimension mismatch: sigma is {sigma.shape}, basis is {basis.shape}"
         )
     _check_orthonormal(basis)
-    q = np.eye(sigma.shape[0]) - basis @ basis.T
-    raw = np.einsum("ij,jk,ik->i", q, sigma, q)
+    sigma_u = sigma @ basis
+    raw = (
+        np.diag(sigma)
+        - 2.0 * np.sum(basis * sigma_u, axis=1)
+        + np.sum((basis @ (basis.T @ sigma_u)) * basis, axis=1)
+    )
     clamped = raw < floor
     return np.maximum(raw, floor), clamped
 

@@ -10,18 +10,24 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from binfactor.gaussian import (
+    _CHUNK_PAIRS,
     RHO_CLAMP,
     bvn_boundary_value,
     bvn_upper_tail,
+    bvn_upper_tail_batch,
     bvn_upper_tail_drho,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
     tetrachoric_invert,
+    tetrachoric_invert_batch,
 )
+from binfactor.moments import BinaryMatrix, estimate_tetrachoric, joint_frequency_matrix
 
 mp.mp.dps = 30
 
@@ -328,3 +334,97 @@ class TestTetrachoricInvert:
     def test_domain(self, bad):
         with pytest.raises(ValueError):
             tetrachoric_invert(0.0, 0.0, bad)
+
+
+# Thresholds cover marginals from about 1e-3 to 1 - 1e-3.
+thresholds_st = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+class TestBatchedKernel:
+    """The batch functions and their 1-element wrappers are one kernel."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(thresholds_st, thresholds_st,
+                              st.floats(-0.999999, 0.999999)), min_size=1, max_size=12))
+    def test_tail_batch_matches_scalar_bitwise(self, cells):
+        c1, c2, rho = map(np.array, zip(*cells))
+        batch = bvn_upper_tail_batch(c1, c2, rho)
+        scalar = [bvn_upper_tail(*cell) for cell in cells]
+        np.testing.assert_array_equal(batch, scalar)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(thresholds_st, thresholds_st, st.floats(0.0, 1.0)),
+                    min_size=1, max_size=12))
+    def test_inversion_batch_matches_scalar_bitwise(self, cells):
+        # Raw targets in [0, 1] reach both clamp margins and the solver edge.
+        c1, c2, p = map(np.array, zip(*cells))
+        rho, iterations, clamped = tetrachoric_invert_batch(c1, c2, p)
+        for k, cell in enumerate(cells):
+            res = tetrachoric_invert(*cell)
+            assert (res.rho_hat, res.iterations, res.clamped) == (
+                rho[k], iterations[k], clamped[k]
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(thresholds_st, thresholds_st,
+           st.lists(st.integers(-999, 999), min_size=2, max_size=10, unique=True))
+    def test_inversion_monotone_and_bounded(self, c1, c2, permille):
+        # Targets come from correlations on a 1e-3 grid inside +-0.999:
+        # far enough apart that rounding of the targets cannot reorder
+        # the roots, and far enough from +-1 that every root lies inside
+        # the clamp values.  Only a target that rounds onto its boundary
+        # value is clamped, and then towards the nearer end.
+        rhos = np.sort(permille) / 1000.0
+        targets = bvn_upper_tail_batch(c1, c2, rhos)
+        rho_hat, _, clamped = tetrachoric_invert_batch(c1, c2, targets)
+        assert np.all(np.diff(rho_hat) >= 0.0)
+        assert np.all(np.abs(rho_hat) <= 1.0 - RHO_CLAMP)
+        assert np.all(np.sign(rho_hat[clamped]) == np.sign(rhos[clamped]))
+
+    def test_pair_result_independent_of_position(self):
+        # p = 50 gives 1225 pairs, more than one chunk of the matrix path.
+        rng = np.random.default_rng(2024)
+        n, p = 4000, 50
+        assert p * (p - 1) // 2 > _CHUNK_PAIRS
+        z = rng.standard_normal((n, 2))
+        e = z @ rng.uniform(-0.8, 0.8, (2, p)) + 0.6 * rng.standard_normal((n, p))
+        data = (e > rng.uniform(-2.0, 2.0, p)).astype(np.uint8)
+        data[:, 1] = data[:, 0]  # one duplicated column: a clamped pair
+        ms, tetra = estimate_tetrachoric(BinaryMatrix(data))
+        c, joint = ms.c_hat, joint_frequency_matrix(BinaryMatrix(data))
+        j1, j2 = np.triu_indices(p, 1)
+        assert tetra.clamp_flags
+        for a, b in zip(j1.tolist(), j2.tolist()):
+            res = tetrachoric_invert(c[a], c[b], joint[a, b])
+            assert res.rho_hat == tetra.sigma[a, b]
+            assert res.clamped == ((a, b) in tetra.clamp_flags)
+        perm = rng.permutation(j1.size)
+        a, b = j2[perm], j1[perm]  # shuffled, and each pair's columns swapped
+        rho, _, clamped = tetrachoric_invert_batch(c[a], c[b], joint[a, b])
+        np.testing.assert_array_equal(rho, tetra.sigma[a, b])
+        assert {(int(x), int(y)) for x, y in zip(b[clamped], a[clamped])} == tetra.clamp_flags
+
+    def test_iterations_bounded_on_round_trip_grid(self):
+        # The 500 cells of acceptance criterion 2, where ell is exponentially
+        # flat near -1 for some threshold pairs.
+        grid = [(c1, c2, round(-0.95 + 0.1 * k, 2))
+                for c1 in (-1.5, -0.5, 0.0, 0.5, 1.5)
+                for c2 in (-1.5, -0.5, 0.0, 0.5, 1.5)
+                for k in range(20)]
+        c1, c2, rho = map(np.array, zip(*grid))
+        _, iterations, _ = tetrachoric_invert_batch(c1, c2, bvn_upper_tail_batch(c1, c2, rho))
+        assert iterations.max() <= 30
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan])
+    def test_batch_target_domain(self, bad):
+        with pytest.raises(ValueError):
+            tetrachoric_invert_batch([0.0, 0.0], [0.0, 0.0], [0.3, bad])
+
+    @pytest.mark.parametrize("bad", [-1.0, 1.0, math.nan])
+    def test_batch_rho_domain(self, bad):
+        with pytest.raises(ValueError):
+            bvn_upper_tail_batch([0.0, 0.0], [0.0, 0.0], [0.3, bad])
+
+    def test_batch_nonfinite_threshold(self):
+        with pytest.raises(ValueError):
+            tetrachoric_invert_batch([0.0, math.inf], 0.0, 0.3)
