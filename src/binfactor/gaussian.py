@@ -182,9 +182,9 @@ class InversionResult:
     (0 when the target was clamped before any).  ``clamped`` is set when
     the target probability fell on or outside the attainable open
     interval between the two boundary values, to within the margins that
-    ``tetrachoric_invert_batch`` describes, or so close to a boundary value that
-    the root lies within 1e-12 of +-1, where the solver does not evaluate;
-    the returned correlation is then ``+-(1 - RHO_CLAMP)``.
+    ``tetrachoric_invert_batch`` describes, or when the root lies closer
+    to +-1 than ``1 - RHO_CLAMP``; the returned correlation is then
+    ``+-(1 - RHO_CLAMP)``, so no unclamped root lies beyond a clamped one.
     ``ell_at_rho`` is ell at the returned correlation.
     """
 
@@ -240,7 +240,9 @@ def tetrachoric_invert_batch(
     when both ends of the bracket are evaluated points at most 2e-12
     apart, and returns the end nearer the target.  No iterate lies within
     1e-12 of +-1: one that would is moved to that edge, and if ell there
-    shows the root beyond it, the target is clamped as well.
+    shows the root beyond it, the target is clamped as well.  So is any
+    root with |rho| > 1 - RHO_CLAMP, so that the result is monotone in
+    the target across the clamp.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
@@ -405,16 +407,14 @@ def _invert(lo, hi, p, max_iter):
         a, fa = np.where(below, x, a), np.where(below, f, fa)
         b, fb = np.where(below, b, x), np.where(below, fb, f)
 
-        # A root beyond the solver edge is clamped, like a target on its
-        # boundary value.
+        # A root beyond the solver edge stops at the edge, to be clamped
+        # below like a target on its boundary value.
         pinned = ((x == -edge) & (f >= 0.0)) | ((x == edge) & (f <= 0.0))
         hit = ~pinned & (np.abs(f) <= np.spacing(p))
         closed = ~pinned & ~hit & (b - a <= 2.0 * _RHO_TOL) & (a > -1.0) & (b < 1.0)
         done = pinned | hit | closed | (it == max_iter)
-        result = np.where(
-            pinned, np.copysign(1.0 - RHO_CLAMP, x), np.where(closed, np.where(-fa <= fb, a, b), x)
-        )
-        rho[idx[done]], clamped[idx[done]] = result[done], pinned[done]
+        result = np.where(closed, np.where(-fa <= fb, a, b), x)
+        rho[idx[done]] = result[done]
         if done.all():
             break
 
@@ -433,4 +433,9 @@ def _invert(lo, hi, p, max_iter):
         x_new = np.clip(x_new, -edge, edge)
         step_before, step = step, x_new - x
         x = x_new
+    # A root at the solver edge, or any other closer to +-1 than the clamp
+    # value, is clamped, so that the estimate is monotone in the target.
+    beyond = np.abs(rho) > 1.0 - RHO_CLAMP
+    rho[beyond] = np.copysign(1.0 - RHO_CLAMP, rho[beyond])
+    clamped |= beyond
     return rho, iterations, clamped

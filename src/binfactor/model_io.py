@@ -9,6 +9,7 @@ every float bit-exactly on reload.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import tempfile
@@ -39,11 +40,53 @@ def read_binary_matrix(path) -> BinaryMatrix:
     """Parse a CSV of 0/1 entries; a non-numeric first row is a header.
 
     Raises ``DataFormatError`` naming the (1-based) row and column of the
-    first offending cell, or the row where the width changes.
+    first offending cell, or the row where the width changes.  Rows count
+    from the first non-blank line, and blank lines are skipped.  Cells may
+    be quoted or padded with whitespace.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [[cell.strip() for cell in row] for row in reader if row]
+        text = fh.read()
+    parsed = _parse_plain(text)
+    if parsed is None:
+        parsed = _parse_cells(path, text)
+    names, data = parsed
+    try:
+        return BinaryMatrix(data, column_names=names)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+
+
+def _parse_plain(text: str):
+    """(names, data) of a file whose data lines are exactly ``0,1,...,0``,
+    read as one byte array; None for any other file, which ``_parse_cells``
+    then reads or rejects."""
+    text = text.replace("\r\n", "\n")
+    head, _, rest = text.partition("\n")
+    # Quotes and lone carriage returns need the csv module's rules.
+    if not head or '"' in head or "\r" in text:
+        return None
+    cells = [cell.strip() for cell in head.split(",")]
+    names = None if all(_is_number(cell) for cell in cells) else tuple(cells)
+    body = (text if names is None else rest).removesuffix("\n") + "\n"
+    try:
+        raw = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        return None
+    line = body.index("\n") + 1  # two bytes per cell
+    if line % 2 or raw.size % line:
+        return None
+    grid = raw.reshape(-1, line)
+    data = grid[:, ::2] - np.uint8(ord("0"))
+    separators = np.frombuffer(b"," * (line // 2 - 1) + b"\n", dtype=np.uint8)
+    if (data > 1).any() or (grid[:, 1::2] != separators).any():
+        return None
+    return names, data
+
+
+def _parse_cells(path, text: str):
+    """(names, data) of any CSV, cell by cell, or the located error."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows = [[cell.strip() for cell in row] for row in reader if row]
     if not rows:
         raise DataFormatError(f"{path}: file contains no data")
 
@@ -55,26 +98,21 @@ def read_binary_matrix(path) -> BinaryMatrix:
         if len(rows) == 1:
             raise DataFormatError(f"{path}: header present but no data rows")
 
-    width = len(rows[start])
-    data = np.empty((len(rows) - start, width), dtype=np.uint8)
-    for i, row in enumerate(rows[start:], start=start):
-        if len(row) != width:
-            raise DataFormatError(
-                f"{path}: row {i + 1} has {len(row)} cells, expected {width}"
-            )
-        for j, cell in enumerate(row):
-            if cell == "0":
-                data[i - start, j] = 0
-            elif cell == "1":
-                data[i - start, j] = 1
-            else:
-                raise DataFormatError(
-                    f"{path}: cell ({i + 1}, {j + 1}) is {cell!r}, expected 0 or 1"
-                )
-    try:
-        return BinaryMatrix(data, column_names=names)
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+    body = rows[start:]
+    width = len(body[0])
+    ragged = next((i for i, row in enumerate(body) if len(row) != width), len(body))
+    cells = np.array(body[:ragged], dtype=str)
+    ok = (cells == "0") | (cells == "1")
+    if not ok.all():
+        i, j = np.argwhere(~ok)[0]
+        raise DataFormatError(
+            f"{path}: cell ({start + i + 1}, {j + 1}) is {str(cells[i, j])!r}, expected 0 or 1"
+        )
+    if ragged < len(body):
+        raise DataFormatError(
+            f"{path}: row {start + ragged + 1} has {len(body[ragged])} cells, expected {width}"
+        )
+    return names, (cells == "1").astype(np.uint8)
 
 
 def write_model(model: FactorModel, path) -> None:

@@ -66,9 +66,10 @@ class MarginalSummary:
 class TetrachoricMatrix:
     """Symmetric correlation estimate with unit diagonal.
 
-    ``clamp_flags`` holds the (j1, j2) pairs (j1 < j2) whose joint
-    frequency fell on or outside the attainable bracket, where the
-    correlation was clamped to ``+-(1 - RHO_CLAMP)``.
+    ``clamp_flags`` holds the (j1, j2) pairs (j1 < j2) whose correlation
+    was clamped to ``+-(1 - RHO_CLAMP)``: their joint frequency fell on or
+    outside the attainable bracket, or its root lay closer to +-1 than
+    the clamp value.
     """
 
     sigma: np.ndarray

@@ -7,6 +7,11 @@ noise variances otherwise destabilize the objective).  The objective is
 globally concave, so a damped Newton ascent with the Fisher information as
 curvature, started from the origin, finds the maximizer; rows are
 independent and optimized simultaneously.
+
+One pass per trial point and cell gives the log-likelihood, gradient and
+Fisher information together, in log space and with no probability floor,
+over blocks of 1024 rows.  The ascent keeps them for each accepted point,
+and retires a row whose step leaves it in place (a stalled row).
 """
 
 from __future__ import annotations
@@ -15,13 +20,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfcx, ndtr
 
-from .gaussian import std_normal_cdf, std_normal_pdf
 from .moments import BinaryMatrix
 from .spectral import FactorModel
 
-_PHI_FLOOR = 1e-15  # cdf values are clipped into [floor, 1-floor] inside logs
 _ALPHA_MIN = 1e-12  # smallest step-halving factor before a step is abandoned
+
+# Rows per kernel pass: its ~15 (components x rows) temporaries stay at a
+# few megabytes whatever n is.
+_BLOCK_ROWS = 1024
+_LOG_SPACE_MAX = 5.0  # |x| past which the kernel's tail values use erfcx
+
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 @dataclass(frozen=True)
@@ -79,25 +92,20 @@ def restricted_loglik(
     z: np.ndarray, model: FactorModel, tau: float, y_row: np.ndarray
 ) -> float:
     """Restricted probit log-likelihood of one sample at latent position z."""
-    z2, y2, incl = _single_row_args(z, model, tau, y_row)
-    return float(_loglik_rows(z2, y2, incl, model.p)[0])
+    return float(_single_row(z, model, tau, y_row)[0])
 
 
 def loglik_gradient(
     z: np.ndarray, model: FactorModel, tau: float, y_row: np.ndarray
 ) -> np.ndarray:
     """Gradient of the restricted log-likelihood in z."""
-    z2, y2, incl = _single_row_args(z, model, tau, y_row)
-    return _gradient_rows(z2, y2, incl, model.p)[0]
+    return _single_row(z, model, tau, y_row)[1]
 
 
 def fisher_information(z: np.ndarray, model: FactorModel, tau: float) -> np.ndarray:
     """Fisher information of the restricted likelihood at z (d x d, PSD)."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if z.size != model.d:
-        raise ValueError(f"z has length {z.size}, model has d={model.d}")
-    incl = _inclusion(model, tau)
-    return _fisher_rows(z[None, :], incl, model.p)[0]
+    # The information does not depend on the observed row.
+    return _single_row(z, model, tau, np.zeros(model.p))[2]
 
 
 def estimate_scores(
@@ -113,7 +121,10 @@ def estimate_scores(
     system and is halved until the likelihood does not decrease, so the
     per-row likelihood path is non-decreasing.  A row stops once its
     gradient norm falls below ``cfg.grad_tol`` or after ``cfg.max_iter``
-    steps.  Rows are independent; the result does not depend on their order.
+    steps.  A row whose step leaves it in place (halving found no better
+    point) stops too, since every later step would repeat it; it keeps
+    ``converged=False``, its gradient norm and the steps it took.  Rows are
+    independent; the result does not depend on their order.
     """
     cfg = cfg or ScoreConfig()
     if model.p != y.p:
@@ -129,7 +140,7 @@ def estimate_scores(
         if z.shape != (n, d):
             raise ValueError(f"z0 must have shape {(n, d)}, got {z.shape}")
 
-    if incl.b.shape[0] == 0:
+    if not incl.mask.any():
         # Nothing to fit against: the start point is already stationary.
         return LatentScores(
             z_hat=z,
@@ -139,53 +150,52 @@ def estimate_scores(
             ll_path=[np.zeros(n)] if record_path else None,
         )
 
-    y_incl = y.data[:, incl.mask].astype(np.float64)
+    y_incl = y.data[:, incl.mask]
     iters = np.zeros(n, dtype=int)
     gnorm = np.zeros(n)
     conv = np.zeros(n, dtype=bool)
     active = np.arange(n)
-    ll = _loglik_rows(z, y_incl, incl, model.p)
+    # The log-likelihood, gradient and information of each row's current point.
+    ll, g, fisher = _evaluate(z, y_incl, active, incl, model.p)
     path = [ll.copy()] if record_path else None
 
     steps = 0
     while active.size:
-        g = _gradient_rows(z[active], y_incl[active], incl, model.p)
-        gn = np.linalg.norm(g, axis=1)
+        gn = np.linalg.norm(g[active], axis=1)
         done = gn <= cfg.grad_tol
         gnorm[active[done]] = gn[done]
         conv[active[done]] = True
-        keep = ~done
-        active = active[keep]
+        active, gn = active[~done], gn[~done]
         if active.size == 0:
             break
         if steps >= cfg.max_iter:
-            gnorm[active] = gn[keep]
+            gnorm[active] = gn
             break
-        g = g[keep]
         steps += 1
 
-        fisher = _fisher_rows(z[active], incl, model.p)
-        step = _solve_steps(fisher, g, d)
-
-        # Step halving until the likelihood does not decrease, per row.
-        alpha = np.ones(active.size)
+        step = _solve_steps(fisher[active], g[active])
         z_cur = z[active]
-        ll_cur = ll[active]
-        z_new = _candidate(z_cur, step, alpha, cfg.z_max)
-        ll_new = _loglik_rows(z_new, y_incl[active], incl, model.p)
-        bad = ll_new < ll_cur
-        while bad.any() and alpha[bad].max() > _ALPHA_MIN:
-            alpha[bad] *= 0.5
-            z_new[bad] = _candidate(z_cur[bad], step[bad], alpha[bad], cfg.z_max)
-            ll_new[bad] = _loglik_rows(z_new[bad], y_incl[active[bad]], incl, model.p)
-            bad = ll_new < ll_cur
-        # Rows whose step never stopped decreasing keep their position.
-        z_new[bad] = z_cur[bad]
-        ll_new[bad] = ll_cur[bad]
 
-        z[active] = z_new
-        ll[active] = ll_new
+        # Step halving until the likelihood does not decrease, per row.  A
+        # row that never finds such a point keeps its position.
+        alpha = 1.0
+        trial = np.arange(active.size)
+        while True:
+            rows = active[trial]
+            z_try = _candidate(z_cur[trial], step[trial], alpha, cfg.z_max)
+            ll_try, g_try, f_try = _evaluate(z_try, y_incl, rows, incl, model.p)
+            ok = ll_try >= ll[rows]
+            z[rows[ok]] = z_try[ok]
+            ll[rows[ok]], g[rows[ok]], fisher[rows[ok]] = ll_try[ok], g_try[ok], f_try[ok]
+            trial = trial[~ok]
+            if trial.size == 0 or alpha <= _ALPHA_MIN:
+                break
+            alpha *= 0.5
+
         iters[active] = steps
+        stalled = np.all(z[active] == z_cur, axis=1)
+        gnorm[active[stalled]] = gn[stalled]
+        active = active[~stalled]
         if record_path:
             path.append(ll.copy())
 
@@ -205,10 +215,13 @@ def reconstruct(model: FactorModel, scores: LatentScores) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Inclusion:
+    """Included components in noise units: ``bt[k]`` holds factor k's
+    loadings over the noise scales and ``ct`` the thresholds, as (m, 1)
+    columns."""
+
     mask: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    tau_sd: np.ndarray
+    bt: np.ndarray
+    ct: np.ndarray
 
 
 def _inclusion(model: FactorModel, tau: float) -> _Inclusion:
@@ -217,15 +230,16 @@ def _inclusion(model: FactorModel, tau: float) -> _Inclusion:
     # only pass the indicator when tau < 0, which the threshold rule never
     # produces for usable variances, so it is excluded outright.
     mask = (tau_sd > tau) & (tau_sd > 0.0)
+    scale = tau_sd[mask, None]
     return _Inclusion(
         mask=mask,
-        b=model.b_hat[mask],
-        c=model.c_hat[mask],
-        tau_sd=tau_sd[mask],
+        bt=(model.b_hat[mask] / scale).T[:, :, None].copy(),
+        ct=model.c_hat[mask, None] / scale,
     )
 
 
-def _single_row_args(z, model, tau, y_row):
+def _single_row(z, model, tau, y_row):
+    """Check one sample's arguments; return its (ll, gradient, information)."""
     z = np.asarray(z, dtype=float).reshape(-1)
     if z.size != model.d:
         raise ValueError(f"z has length {z.size}, model has d={model.d}")
@@ -233,70 +247,121 @@ def _single_row_args(z, model, tau, y_row):
     if y_row.size != model.p:
         raise ValueError(f"y_row has length {y_row.size}, model has p={model.p}")
     incl = _inclusion(model, tau)
-    return z[None, :], y_row[None, incl.mask], incl
+    if not incl.mask.any():
+        return 0.0, np.zeros(model.d), np.zeros((model.d, model.d))
+    ll, g, fisher = _evaluate(
+        z[None, :], y_row[None, incl.mask], np.zeros(1, dtype=np.intp), incl, model.p
+    )
+    return ll[0], g[0], fisher[0]
 
 
-def _standardized(z: np.ndarray, incl: _Inclusion) -> np.ndarray:
-    return (z @ incl.b.T - incl.c[None, :]) / incl.tau_sd[None, :]
+def _evaluate(z, y_incl, rows, incl: _Inclusion, p: int):
+    """Log-likelihood, gradient and Fisher information at trial points z.
+
+    ``z[i]`` is the trial point of the sample in row ``rows[i]`` of
+    ``y_incl`` (samples x included components).  Returns arrays of shape
+    (n,), (n, d) and (n, d, d), computed in blocks of rows; a row's values
+    depend only on its own point and data, not on the block it is in.
+    """
+    n, d = z.shape
+    ll = np.empty(n)
+    g = np.empty((n, d))
+    fisher = np.empty((n, d, d))
+    for s in range(0, n, _BLOCK_ROWS):
+        e = min(s + _BLOCK_ROWS, n)
+        zt = np.ascontiguousarray(z[s:e].T)
+        ll[s:e], g[s:e], fisher[s:e] = _kernel(zt, y_incl[rows[s:e]].T, incl)
+    return ll / p, g / p, fisher / p
 
 
-def _both_tails(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # 1 - Phi(x) formed by subtraction loses ~9 digits for moderate x;
-    # the complementary tail Phi(-x) keeps full relative precision.
-    lower = np.maximum(std_normal_cdf(x), _PHI_FLOOR)
-    upper = np.maximum(std_normal_cdf(-x), _PHI_FLOOR)
-    return lower, upper
+def _kernel(zt, y, incl: _Inclusion):
+    """Unscaled sums over components for a block: points ``zt`` (d x rows),
+    data ``y`` (components x rows).
+
+    Cell (j, i) adds y log Phi(x) + (1 - y) log Phi(-x), x = bt_j . z_i - ct_j.
+    With a = |x|, ``ndtr(-a)`` gives Phi(-a) to full relative precision
+    (``log_ndtr`` agrees to a few ulps at twice the cost), and log Phi(+-a)
+    and the Mills ratios phi(a) / Phi(+-a) follow in log space.  Past
+    a = 5, log phi(a) - log Phi(-a) loses relative precision (1e-11 at
+    a = 1000) and past 37.5 Phi(-a) underflows, so there erfcx(a / sqrt 2)
+    gives both.  Everything stays exact and finite while a^2 does.  The
+    sums are written out, not left to BLAS, so that a row's bits do not
+    depend on its block.
+    """
+    d = zt.shape[0]
+    x = incl.bt[0] * zt[0]
+    for k in range(1, d):
+        x += incl.bt[k] * zt[k]
+    x -= incl.ct
+    neg = x < 0.0
+    a = np.abs(x)
+    tail = ndtr(-a)  # Phi(-a)
+    far = a > _LOG_SPACE_MAX
+    any_far = far.any()
+    if any_far:
+        tail[far] = 0.5  # a placeholder that keeps the logs below finite
+    log_small = np.log(tail)  # log Phi(-a)
+    mills_small = np.exp(-0.5 * a * a - _LOG_SQRT_2PI - log_small)  # phi(a) / Phi(-a)
+    if any_far:
+        a_far = a[far]
+        ex = erfcx(a_far * _SQRT_HALF)  # 2 Phi(-a) exp(a^2 / 2)
+        log_small[far] = np.log(0.5 * ex) - 0.5 * a_far * a_far
+        mills_small[far] = _SQRT_2_OVER_PI / ex
+        tail[far] = np.exp(log_small[far])
+    log_large = np.log1p(-tail)  # log Phi(a)
+    mills_large = mills_small * tail / (1.0 - tail)  # phi(a) / Phi(a)
+
+    # Weight of the large side, Phi(a), in the cell's likelihood: y where
+    # x >= 0, 1 - y where x < 0.
+    w = np.abs(np.subtract(y, neg, dtype=np.float64))
+    w_small = 1.0 - w
+    ll = _column_sums(w * log_large + w_small * log_small)
+    dx = (w * mills_large - w_small * mills_small) * (1.0 - 2.0 * neg)
+    info = mills_small * mills_large
+    g = np.empty((zt.shape[1], d))
+    fisher = np.empty((zt.shape[1], d, d))
+    for k in range(d):
+        g[:, k] = _column_sums(dx * incl.bt[k])
+        for l in range(k + 1):
+            fisher[:, k, l] = fisher[:, l, k] = _column_sums(info * (incl.bt[k] * incl.bt[l]))
+    return ll, g, fisher
 
 
-def _loglik_rows(z, y_incl, incl: _Inclusion, p: int) -> np.ndarray:
-    if incl.b.shape[0] == 0:
-        return np.zeros(z.shape[0])
-    x = _standardized(z, incl)
-    cdf, cdf_c = _both_tails(x)
-    terms = y_incl * np.log(cdf) + (1.0 - y_incl) * np.log(cdf_c)
-    return terms.sum(axis=1) / p
+def _column_sums(v):
+    """Sums over the first axis, folded pairwise: this rounds less than a
+    running sum, and unlike ``v.sum(axis=0)`` it adds every column in the
+    same order, a single column included."""
+    while len(v) > 1:
+        half = len(v) // 2
+        folded = v[:half] + v[half : 2 * half]
+        if len(v) % 2:
+            folded[-1] += v[-1]
+        v = folded
+    return v[0]
 
 
-def _gradient_rows(z, y_incl, incl: _Inclusion, p: int) -> np.ndarray:
-    x = _standardized(z, incl)
-    cdf, cdf_c = _both_tails(x)
-    # y*cdf_c - (1-y)*cdf equals y - Phi(x) without the cancellation.
-    w = (y_incl * cdf_c - (1.0 - y_incl) * cdf) * std_normal_pdf(x) / (cdf * cdf_c)
-    return (w / incl.tau_sd[None, :]) @ incl.b / p
-
-
-def _fisher_rows(z, incl: _Inclusion, p: int) -> np.ndarray:
-    x = _standardized(z, incl)
-    cdf, cdf_c = _both_tails(x)
-    pdf = std_normal_pdf(x)
-    u = pdf * pdf / (incl.tau_sd[None, :] ** 2 * cdf * cdf_c)
-    return np.einsum("nm,mk,ml->nkl", u, incl.b, incl.b) / p
-
-
-def _solve_steps(fisher: np.ndarray, g: np.ndarray, d: int) -> np.ndarray:
+def _solve_steps(fisher: np.ndarray, g: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.solve(fisher, g[..., None])[..., 0]
     except np.linalg.LinAlgError:
         pass
-    # At least one row is singular: solve row by row, ridge-regularizing
-    # the offenders.
-    step = np.empty_like(g)
-    eye = np.eye(d)
-    for i in range(g.shape[0]):
-        try:
-            step[i] = np.linalg.solve(fisher[i], g[i])
-        except np.linalg.LinAlgError:
-            trace = float(np.trace(fisher[i]))
-            if trace <= 0.0:
-                step[i] = 0.0
-            else:
-                ridge = 1e-8 * trace / d
-                step[i] = np.linalg.solve(fisher[i] + ridge * eye, g[i])
+    # Some matrices are singular.  Their LU factorization, the one solve
+    # uses, meets a zero pivot, so their determinant is exactly 0: ridge
+    # those, and give a zero step to those with no information at all.
+    d = g.shape[1]
+    trace = np.trace(fisher, axis1=1, axis2=2)
+    singular = np.linalg.det(fisher) == 0.0
+    empty = singular & (trace <= 0.0)
+    regularized = fisher.copy()
+    regularized[singular] += (1e-8 * trace[singular] / d)[:, None, None] * np.eye(d)
+    regularized[empty] = np.eye(d)
+    step = np.linalg.solve(regularized, g[..., None])[..., 0]
+    step[empty] = 0.0
     return step
 
 
 def _candidate(z, step, alpha, z_max):
-    z_new = z + alpha[:, None] * step
+    z_new = z + alpha * step
     if z_max is not None:
         norms = np.linalg.norm(z_new, axis=1)
         over = norms > z_max

@@ -1,9 +1,14 @@
 """File format tests: data CSV parsing, model round trips, metrics output."""
 
+import csv
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binfactor.model_io import (
     DataFormatError,
@@ -14,6 +19,7 @@ from binfactor.model_io import (
     write_model,
     write_scores,
 )
+from binfactor.moments import BinaryMatrix
 from binfactor.scores import LatentScores
 from binfactor.simulate import MetricsRecord
 from binfactor.spectral import FactorModel
@@ -77,6 +83,97 @@ class TestReadBinaryMatrix:
         f.write_text(" 0 ,1\n1, 0\n")
         y = read_binary_matrix(f)
         np.testing.assert_array_equal(y.data, [[0, 1], [1, 0]])
+
+
+def read_by_cell(path):
+    """Reference reader: the csv module and one test per cell.
+
+    Returns (data, names), or the message of the DataFormatError that
+    ``read_binary_matrix`` must raise.
+    """
+    with open(path, newline="") as fh:
+        rows = [[cell.strip() for cell in row] for row in csv.reader(fh) if row]
+    if not rows:
+        return f"{path}: file contains no data"
+    names, start = None, 0
+    try:
+        [float(cell) for cell in rows[0]]
+    except ValueError:
+        names, start = tuple(rows[0]), 1
+        if len(rows) == 1:
+            return f"{path}: header present but no data rows"
+    width = len(rows[start])
+    data = np.empty((len(rows) - start, width), dtype=np.uint8)
+    for i, row in enumerate(rows[start:], start=start):
+        if len(row) != width:
+            return f"{path}: row {i + 1} has {len(row)} cells, expected {width}"
+        for j, cell in enumerate(row):
+            if cell not in ("0", "1"):
+                return f"{path}: cell ({i + 1}, {j + 1}) is {cell!r}, expected 0 or 1"
+            data[i - start, j] = int(cell)
+    try:
+        y = BinaryMatrix(data, column_names=names)
+    except ValueError as exc:
+        return f"{path}: {exc}"
+    return y.data, y.column_names
+
+
+def read_outcome(path):
+    try:
+        y = read_binary_matrix(path)
+    except DataFormatError as exc:
+        return str(exc)
+    return y.data, y.column_names
+
+
+class TestReadCells:
+    """The bulk reader accepts and rejects exactly what the cell reader does."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("a,b\n+1,0\n", "cell (2, 1) is '+1', expected 0 or 1"),
+            ("a,b\n01,0\n", "cell (2, 1) is '01', expected 0 or 1"),
+            ("a,b\n0,1.0\n", "cell (2, 2) is '1.0', expected 0 or 1"),
+            ("a,b\n0,1\n2,0\n", "cell (3, 1) is '2', expected 0 or 1"),
+            ("+1,0\n0,1\n", "cell (1, 1) is '+1', expected 0 or 1"),
+            ("a,b\n\n0,1\n\n\n1,0\n\n", ([[0, 1], [1, 0]], ("a", "b"))),
+            ("0,1\n\n1,x\n", "cell (2, 2) is 'x', expected 0 or 1"),
+            ("a,b\r\n0,1\r\n1,0\r\n", ([[0, 1], [1, 0]], ("a", "b"))),
+            ("0,1\r1,1\r", ([[0, 1], [1, 1]], None)),
+            ('"1",0\n0,"1"\n', ([[1, 0], [0, 1]], None)),
+            ('"a","b"\n1,0', ([[1, 0]], ("a", "b"))),
+            ("0,1\n2,0\n1\n", "cell (2, 1) is '2', expected 0 or 1"),
+            ("0,1\n  \n", "row 2 has 1 cells, expected 2"),
+            ("0,1,\n1,0,\n", "cell (2, 3) is '', expected 0 or 1"),
+        ],
+    )
+    def test_cases(self, tmp_path, text, expected):
+        f = tmp_path / "d.csv"
+        f.write_bytes(text.encode())
+        outcome = read_outcome(f)
+        if isinstance(expected, str):
+            assert outcome == f"{f}: {expected}"
+        else:
+            np.testing.assert_array_equal(outcome[0], expected[0])
+            assert outcome[1] == expected[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(["0", "1", ",", "\n", "\r\n", "\r", '"', " ", "2", "a", "+"]),
+                    max_size=24))
+    def test_matches_cell_reader(self, pieces):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "d.csv")
+            with open(path, "w", newline="") as fh:
+                fh.write("".join(pieces))
+            expected = read_by_cell(path)
+            outcome = read_outcome(path)
+        if isinstance(expected, str):
+            assert outcome == expected
+        else:
+            np.testing.assert_array_equal(outcome[0], expected[0])
+            assert outcome[0].dtype == np.uint8
+            assert outcome[1] == expected[1]
 
 
 class TestModelRoundTrip:

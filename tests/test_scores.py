@@ -2,12 +2,15 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from binfactor.gaussian import std_normal_cdf
 from binfactor.moments import BinaryMatrix
 from binfactor.scores import (
+    _BLOCK_ROWS,
+    _solve_steps,
     LatentScores,
     ScoreConfig,
     estimate_scores,
@@ -153,6 +156,52 @@ class TestLoglikGradient:
         )
 
 
+def unit_probit_model():
+    """One component with x = z: the likelihood is log Phi(z) for y = 1."""
+    return FactorModel(
+        d=1,
+        p=1,
+        c_hat=np.array([0.0]),
+        b_hat=np.array([[1.0]]),
+        tau2_hat=np.array([1.0]),
+        eigvals=np.array([1.0]),
+    )
+
+
+TAIL_POINTS = [(x, y) for x in (8.0, 12.0, 20.0, 30.0, 40.0) for y in (0, 1)] + [
+    (-x, y) for x in (8.0, 12.0, 20.0, 30.0, 40.0) for y in (0, 1)
+]
+
+
+class TestTails:
+    """Likelihood and gradient far past any probability floor."""
+
+    @pytest.mark.parametrize("x, y", TAIL_POINTS)
+    def test_loglik_matches_mpmath(self, x, y):
+        # log Phi(t) at 30 digits; for t > 0 through the small tail, since
+        # Phi(t) itself rounds to 1 at that precision past t ~ 11.
+        t = x if y == 1 else -x
+        with mp.workdps(30):
+            if t > 0:
+                oracle = float(mp.log1p(-mp.ncdf(-mp.mpf(t))))
+            else:
+                oracle = float(mp.log(mp.ncdf(mp.mpf(t))))
+        val = restricted_loglik(np.array([x]), unit_probit_model(), 0.0, np.array([y]))
+        assert val == pytest.approx(oracle, rel=1e-13, abs=1e-300)
+
+    @pytest.mark.parametrize("x, y", TAIL_POINTS)
+    def test_gradient_matches_finite_difference(self, x, y):
+        model = unit_probit_model()
+        row = np.array([y])
+        h = 1e-6
+        fd = (
+            restricted_loglik(np.array([x + h]), model, 0.0, row)
+            - restricted_loglik(np.array([x - h]), model, 0.0, row)
+        ) / (2 * h)
+        grad = loglik_gradient(np.array([x]), model, 0.0, row)[0]
+        assert grad == pytest.approx(fd, rel=1e-6, abs=1e-300)
+
+
 class TestFisherInformation:
     def test_single_component_value(self):
         model = FactorModel(
@@ -293,11 +342,59 @@ class TestEstimateScores:
             estimate_scores(y, bad)
 
     def test_row_order_independence(self):
-        y, model = self._simulated(seed=27)
+        # More rows than one kernel block, so rows change blocks as well as
+        # places; a row's arithmetic does not depend on either.
+        y, model = self._simulated(n=2 * _BLOCK_ROWS + 77, seed=27)
         perm = np.random.default_rng(28).permutation(y.n)
         a = estimate_scores(y, model)
         b = estimate_scores(BinaryMatrix(y.data[perm]), model)
-        np.testing.assert_allclose(a.z_hat[perm], b.z_hat, atol=1e-12)
+        np.testing.assert_array_equal(a.z_hat[perm], b.z_hat)
+        np.testing.assert_array_equal(a.iterations[perm], b.iterations)
+
+    def test_stalled_rows_retire(self):
+        # Below the rounding of the likelihood most rows cannot meet the
+        # tolerance.  Such a row stops once a step leaves it in place, with
+        # the steps it took, so a larger max_iter changes nothing.
+        y, model = self._simulated()
+        a = estimate_scores(y, model, ScoreConfig(grad_tol=1e-15, max_iter=100))
+        b = estimate_scores(y, model, ScoreConfig(grad_tol=1e-15, max_iter=200))
+        assert (~a.converged).sum() > 10
+        assert np.all(a.iterations[~a.converged] < 100)
+        np.testing.assert_array_equal(a.z_hat, b.z_hat)
+        np.testing.assert_array_equal(a.iterations, b.iterations)
+        np.testing.assert_array_equal(a.grad_norms, b.grad_norms)
+
+
+def solve_steps_by_row(fisher, g):
+    """Row-by-row reference: ridge a singular matrix, zero step if empty."""
+    d = g.shape[1]
+    step = np.empty_like(g)
+    for i in range(g.shape[0]):
+        try:
+            step[i] = np.linalg.solve(fisher[i], g[i])
+        except np.linalg.LinAlgError:
+            trace = float(np.trace(fisher[i]))
+            if trace <= 0.0:
+                step[i] = 0.0
+            else:
+                ridge = 1e-8 * trace / d
+                step[i] = np.linalg.solve(fisher[i] + ridge * np.eye(d), g[i])
+    return step
+
+
+class TestSolveSteps:
+    def test_singular_rows_ridged_together(self):
+        rng = np.random.default_rng(41)
+        a = rng.standard_normal((3, 2, 2))
+        regular = a @ a.transpose(0, 2, 1) + np.eye(2)
+        rank_one = np.array([[1.0, 2.0], [2.0, 4.0]])  # exact zero pivot
+        fisher = np.stack(
+            [regular[0], rank_one, regular[1], np.zeros((2, 2)), 3.0 * rank_one, regular[2]]
+        )
+        g = rng.standard_normal((6, 2))
+        step = _solve_steps(fisher, g)
+        np.testing.assert_array_equal(step, solve_steps_by_row(fisher, g))
+        np.testing.assert_array_equal(step[3], np.zeros(2))
 
 
 class TestReconstruct:
