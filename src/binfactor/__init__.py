@@ -35,7 +35,6 @@ from .moments import (
     estimate_tetrachoric,
     joint_frequency_matrix,
     marginal_frequencies,
-    pairwise_joint_frequency,
     tetrachoric_from_probabilities,
     thresholds,
 )
@@ -72,7 +71,6 @@ from .spectral import (
     fit_model,
     leading_subspace,
     noise_variances,
-    projection,
     sign_normalize,
     subspace_discrepancy,
     sym_eigen,

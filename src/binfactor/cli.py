@@ -16,7 +16,7 @@ from .moments import BinaryMatrix
 from .scores import ScoreConfig, estimate_scores
 from .selfcheck import format_report, run_selfcheck
 from .simulate import SimScenario, run_replications
-from .spectral import fit_model
+from .spectral import TAU2_FLOOR, fit_model
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -58,8 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--data", required=True, help="input CSV of 0/1 entries")
     fit.add_argument("--d", required=True, type=int, help="number of latent factors")
     fit.add_argument("--out", required=True, help="output model file")
-    fit.add_argument("--tau-floor", type=float, default=1e-10,
-                     help="lower floor for noise variances (default 1e-10)")
+    fit.add_argument("--tau-floor", type=float, default=TAU2_FLOOR,
+                     help=f"lower floor for noise variances (default {TAU2_FLOOR:g})")
     fit.set_defaults(func=_cmd_fit)
 
     score = sub.add_parser("score", help="estimate latent factors for each sample")

@@ -62,6 +62,9 @@ _RHO_EDGE = 1e-12
 # at most twice this far apart, and never steps by less than this.
 _RHO_TOL = 1e-12
 
+# Evaluations of ell per pair after which the root finder gives up.
+_MAX_ITER = 200
+
 # Targets within this fraction of a boundary value are treated as on it.
 # The margin is relative, not absolute: a tail probability far below 1e-12
 # can still lie many of its own ulps above a zero boundary and resolve a
@@ -102,19 +105,11 @@ def std_normal_cdf(x):
 
 
 def std_normal_quantile(p):
-    """Inverse of ``std_normal_cdf`` for p in the open interval (0, 1).
-
-    A rational initial approximation is polished with one Newton step
-    wherever the density is large enough for the correction to be stable.
-    """
+    """Inverse of ``std_normal_cdf`` for p in the open interval (0, 1)."""
     p = np.asarray(p, dtype=float)
     if np.any((p <= 0.0) | (p >= 1.0)) or not np.all(np.isfinite(p)):
         raise ValueError("quantile argument must lie strictly inside (0, 1)")
-    x = ndtri(p)
-    d = std_normal_pdf(x)
-    refine = d > 1e-300
-    correction = np.where(refine, (ndtr(x) - p) / np.where(refine, d, 1.0), 0.0)
-    return x - correction
+    return ndtri(p)
 
 
 def bvn_boundary_value(c1: float, c2: float, sign: int) -> float:
@@ -194,25 +189,18 @@ class InversionResult:
     clamped: bool
 
 
-def tetrachoric_invert(
-    c1: float,
-    c2: float,
-    p_target: float,
-    max_iter: int = 200,
-) -> InversionResult:
+def tetrachoric_invert(c1: float, c2: float, p_target: float) -> InversionResult:
     """Solve ell(c1, c2; rho) = p_target for rho.
 
     A 1-element call to ``tetrachoric_invert_batch``, which describes the
     root finder and the clamp rules; this wrapper adds ``ell_at_rho``.
     """
-    rho, iterations, clamped = tetrachoric_invert_batch(c1, c2, p_target, max_iter)
+    rho, iterations, clamped = tetrachoric_invert_batch(c1, c2, p_target)
     rho = float(rho)
     return InversionResult(rho, bvn_upper_tail(c1, c2, rho), int(iterations), bool(clamped))
 
 
-def tetrachoric_invert_batch(
-    c1, c2, p_target, max_iter: int = 200
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def tetrachoric_invert_batch(c1, c2, p_target) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve ell(c1, c2; rho) = p_target for broadcastable arrays of pairs.
 
     Returns the arrays ``(rho_hat, iterations, clamped)``, with the
@@ -244,8 +232,6 @@ def tetrachoric_invert_batch(
     root with |rho| > 1 - RHO_CLAMP, so that the result is monotone in
     the target across the clamp.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     lo, hi, p, shape = _flat_pairs(c1, c2, p_target)
     bad = ~((p >= 0.0) & (p <= 1.0))
     if bad.any():
@@ -254,7 +240,7 @@ def tetrachoric_invert_batch(
     iterations = np.zeros(p.size, dtype=np.int64)
     clamped = np.zeros(p.size, dtype=bool)
     for s in _chunks(p.size):
-        rho[s], iterations[s], clamped[s] = _invert(lo[s], hi[s], p[s], max_iter)
+        rho[s], iterations[s], clamped[s] = _invert(lo[s], hi[s], p[s])
     return rho.reshape(shape), iterations.reshape(shape), clamped.reshape(shape)
 
 
@@ -374,7 +360,7 @@ def _bonett_price(lo, hi, p):
     return np.where(np.isfinite(start), start, 0.0)
 
 
-def _invert(lo, hi, p, max_iter):
+def _invert(lo, hi, p):
     """``tetrachoric_invert_batch`` on 1-D arrays with lo <= hi."""
     n = p.size
     rho = np.empty(n)
@@ -399,7 +385,7 @@ def _invert(lo, hi, p, max_iter):
     fa, fb = np.full(idx.size, -np.inf), np.full(idx.size, np.inf)
     x = np.clip(_bonett_price(lo, hi, p), -edge, edge)
     step = step_before = np.full(idx.size, 2.0)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         f = _ell(lo, hi, x) - p
         df = _drho(lo, hi, x)
         iterations[idx] = it
@@ -412,7 +398,7 @@ def _invert(lo, hi, p, max_iter):
         pinned = ((x == -edge) & (f >= 0.0)) | ((x == edge) & (f <= 0.0))
         hit = ~pinned & (np.abs(f) <= np.spacing(p))
         closed = ~pinned & ~hit & (b - a <= 2.0 * _RHO_TOL) & (a > -1.0) & (b < 1.0)
-        done = pinned | hit | closed | (it == max_iter)
+        done = pinned | hit | closed | (it == _MAX_ITER)
         result = np.where(closed, np.where(-fa <= fb, a, b), x)
         rho[idx[done]] = result[done]
         if done.all():

@@ -169,26 +169,18 @@ def read_model(path) -> FactorModel:
 def write_metrics(
     records: Iterable[MetricsRecord],
     path,
-    append: bool = False,
     include_timings: bool = False,
 ) -> None:
     """Write metric records as CSV.
 
     Stage timings vary run to run, so they are excluded unless asked for:
     the default output is byte-identical across repeated runs of the same
-    seeded experiment.  With ``append`` the existing rows are kept and the
-    header is not repeated.
+    seeded experiment.  An error message that holds a comma, a quote or a
+    newline is quoted, so every row keeps the header's columns.
     """
-    columns = METRICS_COLUMNS + (TIMING_COLUMNS if include_timings else [])
-    lines = []
-    existing = ""
-    if append and os.path.exists(path):
-        with open(path) as fh:
-            existing = fh.read()
-        if existing and not existing.endswith("\n"):
-            existing += "\n"
-    if not existing:
-        lines.append(",".join(columns))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(METRICS_COLUMNS + (TIMING_COLUMNS if include_timings else []))
     for rec in records:
         row = [
             rec.scenario,
@@ -201,22 +193,20 @@ def write_metrics(
         ]
         if include_timings:
             row.extend(_fmt(rec.timings.get(k, float("nan"))) for k in TIMING_COLUMNS)
-        lines.append(",".join(row))
-    content = existing + "\n".join(lines) + "\n"
-    _atomic_write(path, content)
+        writer.writerow(row)
+    _atomic_write(path, out.getvalue())
 
 
 def write_scores(scores: LatentScores, path) -> None:
     """Write latent scores plus convergence columns as CSV."""
     d = scores.z_hat.shape[1]
     header = [f"z_{k + 1}" for k in range(d)] + ["iterations", "grad_norm", "converged"]
-    lines = [",".join(header)]
-    for i in range(scores.n):
-        row = [_fmt(v) for v in scores.z_hat[i]]
-        row.append(str(int(scores.iterations[i])))
-        row.append(_fmt(scores.grad_norms[i]))
-        row.append(str(int(scores.converged[i])))
-        lines.append(",".join(row))
+    z_hat = np.asarray(scores.z_hat, dtype=float)
+    columns = [map(repr, z_hat[:, k].tolist()) for k in range(d)]
+    columns.append(map(str, np.asarray(scores.iterations).astype(int).tolist()))
+    columns.append(map(repr, np.asarray(scores.grad_norms, dtype=float).tolist()))
+    columns.append(map(str, np.asarray(scores.converged).astype(int).tolist()))
+    lines = [",".join(header), *map(",".join, zip(*columns))]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -85,33 +85,27 @@ def marginal_frequencies(y: BinaryMatrix) -> np.ndarray:
     return y.data.mean(axis=0, dtype=np.float64)
 
 
-def thresholds(p_hat: np.ndarray, n: int) -> MarginalSummary:
+def thresholds(p_hat: np.ndarray, n: int | None) -> MarginalSummary:
     """Probit thresholds from marginal frequencies.
 
-    Frequencies are clamped into [1/(2n), 1 - 1/(2n)] first: a degenerate
-    all-zero or all-one column would otherwise give an infinite threshold.
+    With a sample size n, frequencies are clamped into [1/(2n), 1 - 1/(2n)]
+    first: a degenerate all-zero or all-one column would otherwise give an
+    infinite threshold.  With ``n=None`` nothing is clamped, and a
+    frequency of 0 or 1 is an error.
     """
     p_hat = np.asarray(p_hat, dtype=float)
     if np.any((p_hat < 0.0) | (p_hat > 1.0)):
         raise ValueError("frequencies must lie in [0, 1]")
-    if n < 1:
+    if n is None:
+        clamped = p_hat  # the quantile rejects 0 and 1
+    elif n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    lo = 1.0 / (2.0 * n)
-    clamped = np.clip(p_hat, lo, 1.0 - lo)
+    else:
+        lo = 1.0 / (2.0 * n)
+        clamped = np.clip(p_hat, lo, 1.0 - lo)
     clamp_count = int(np.count_nonzero(clamped != p_hat))
     c_hat = -std_normal_quantile(clamped)
     return MarginalSummary(p_hat.copy(), np.asarray(c_hat, dtype=float), clamp_count)
-
-
-def pairwise_joint_frequency(y: BinaryMatrix, j1: int, j2: int) -> float:
-    """Fraction of rows where columns j1 and j2 are both 1."""
-    p = y.p
-    if not (0 <= j1 < p and 0 <= j2 < p):
-        raise ValueError(f"column indices ({j1}, {j2}) out of range for p={p}")
-    if j1 == j2:
-        raise ValueError("column indices must differ")
-    both = y.data[:, j1] & y.data[:, j2]
-    return float(both.mean(dtype=np.float64))
 
 
 def joint_frequency_matrix(y: BinaryMatrix) -> np.ndarray:
@@ -127,10 +121,7 @@ def estimate_tetrachoric(y: BinaryMatrix) -> tuple[MarginalSummary, TetrachoricM
     does not depend on evaluation order; row permutations of the input
     leave it unchanged.
     """
-    ms = thresholds(marginal_frequencies(y), y.n)
-    joint = joint_frequency_matrix(y)
-    tetra = _invert_joint_matrix(ms.c_hat, joint)
-    return ms, tetra
+    return tetrachoric_from_probabilities(marginal_frequencies(y), joint_frequency_matrix(y), y.n)
 
 
 def tetrachoric_from_probabilities(
@@ -142,7 +133,8 @@ def tetrachoric_from_probabilities(
 
     With exact population probabilities this recovers the true correlation
     matrix up to root-finder tolerance.  ``n`` enables the finite-sample
-    frequency clamp; without it the marginals must lie strictly in (0, 1).
+    frequency clamp of ``thresholds``; without it the marginals must lie
+    strictly in (0, 1).
     """
     p_marginal = np.asarray(p_marginal, dtype=float)
     p_joint = np.asarray(p_joint, dtype=float)
@@ -151,16 +143,7 @@ def tetrachoric_from_probabilities(
             f"joint matrix shape {p_joint.shape} does not match "
             f"{p_marginal.size} marginals"
         )
-    if n is not None:
-        ms = thresholds(p_marginal, n)
-    else:
-        if np.any((p_marginal <= 0.0) | (p_marginal >= 1.0)):
-            raise ValueError("marginal probabilities must lie strictly in (0, 1)")
-        ms = MarginalSummary(
-            p_marginal.copy(),
-            np.asarray(-std_normal_quantile(p_marginal), dtype=float),
-            0,
-        )
+    ms = thresholds(p_marginal, n)
     return ms, _invert_joint_matrix(ms.c_hat, p_joint)
 
 

@@ -39,12 +39,11 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 @dataclass(frozen=True)
 class ScoreConfig:
-    """Scoring options: inclusion percentage, stopping rule, optional box."""
+    """Scoring options: inclusion percentage and stopping rule."""
 
     m_percent: float = 90.0
     grad_tol: float = 1e-8
     max_iter: int = 100
-    z_max: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.m_percent <= 100.0:
@@ -182,7 +181,7 @@ def estimate_scores(
         trial = np.arange(active.size)
         while True:
             rows = active[trial]
-            z_try = _candidate(z_cur[trial], step[trial], alpha, cfg.z_max)
+            z_try = z_cur[trial] + alpha * step[trial]
             ll_try, g_try, f_try = _evaluate(z_try, y_incl, rows, incl, model.p)
             ok = ll_try >= ll[rows]
             z[rows[ok]] = z_try[ok]
@@ -358,13 +357,3 @@ def _solve_steps(fisher: np.ndarray, g: np.ndarray) -> np.ndarray:
     step = np.linalg.solve(regularized, g[..., None])[..., 0]
     step[empty] = 0.0
     return step
-
-
-def _candidate(z, step, alpha, z_max):
-    z_new = z + alpha * step
-    if z_max is not None:
-        norms = np.linalg.norm(z_new, axis=1)
-        over = norms > z_max
-        if over.any():
-            z_new[over] *= (z_max / norms[over])[:, None]
-    return z_new

@@ -26,7 +26,13 @@ import numpy as np
 from .gaussian import bvn_upper_tail_batch, std_normal_cdf
 from .moments import BinaryMatrix, TetrachoricMatrix, estimate_tetrachoric
 from .scores import LatentScores, ScoreConfig, estimate_scores
-from .spectral import FactorModel, _fit_pieces, leading_subspace, subspace_discrepancy, sym_eigen
+from .spectral import (
+    FactorModel,
+    fit_from_tetrachoric,
+    leading_subspace,
+    subspace_discrepancy,
+    sym_eigen,
+)
 
 
 @dataclass(frozen=True)
@@ -59,7 +65,6 @@ class TrueModel:
     b: np.ndarray
     tau2: np.ndarray
     c: np.ndarray
-    sigma_b: np.ndarray  # b.T @ b / p, kept as a diagnostic
 
 
 @dataclass(frozen=True)
@@ -92,7 +97,7 @@ def generate_true_model(scn: SimScenario, rng: np.random.Generator) -> TrueModel
     if scn.normalize_rows:
         norms = np.linalg.norm(b, axis=1)
         b = b * (np.sqrt(1.0 - tau2) / norms)[:, None]
-    return TrueModel(b=b, tau2=tau2, c=c, sigma_b=b.T @ b / scn.p)
+    return TrueModel(b=b, tau2=tau2, c=c)
 
 
 def generate_dataset(
@@ -185,20 +190,11 @@ def run_replications(
             )
 
     records: list[MetricsRecord] = []
-    if threads <= 1:
-        for r in range(scn.reps):
-            rec = one(r)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for rec in pool.map(one, range(scn.reps)):
             records.append(rec)
             if on_record is not None:
                 on_record(rec)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(one, r) for r in range(scn.reps)]
-            for fut in futures:
-                rec = fut.result()
-                records.append(rec)
-                if on_record is not None:
-                    on_record(rec)
     return records
 
 
@@ -211,7 +207,8 @@ def _run_one(
     t1 = time.perf_counter()
     ms, tetra = estimate_tetrachoric(y)
     t2 = time.perf_counter()
-    model, basis = _fit_pieces(ms, tetra, scn.d, 1e-10, {"n": scn.n})
+    model = fit_from_tetrachoric(ms, tetra, scn.d, meta={"n": scn.n})
+    basis = leading_subspace(sym_eigen(tetra.sigma), scn.d)
     t3 = time.perf_counter()
     scores = estimate_scores(y, model, score_config)
     t4 = time.perf_counter()

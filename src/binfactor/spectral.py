@@ -99,14 +99,6 @@ def leading_subspace(e: EigenDecomposition, d: int) -> np.ndarray:
     return sign_normalize(e.vectors[:, :d])
 
 
-def projection(basis: np.ndarray) -> np.ndarray:
-    """Orthogonal projection matrix onto the span of an orthonormal basis."""
-    basis = np.asarray(basis, dtype=float)
-    _check_orthonormal(basis)
-    h = basis @ basis.T
-    return 0.5 * (h + h.T)
-
-
 def subspace_discrepancy(a: np.ndarray, b: np.ndarray) -> float:
     """Squared Frobenius distance between the projections of two spans.
 
@@ -158,35 +150,10 @@ def fit_from_tetrachoric(
     tau2_floor: float = TAU2_FLOOR,
     meta: dict | None = None,
 ) -> FactorModel:
-    """Assemble a factor model from an estimated correlation matrix."""
-    model, _ = _fit_pieces(ms, tetra, d, tau2_floor, meta)
-    return model
+    """Assemble a factor model from an estimated correlation matrix.
 
-
-def fit_model(
-    y: BinaryMatrix,
-    d: int,
-    tau2_floor: float = TAU2_FLOOR,
-    meta: dict | None = None,
-) -> FactorModel:
-    """End-to-end fit: moments, eigendecomposition, loadings, noise variances."""
-    if not 1 <= d <= y.p:
-        raise ValueError(f"need 1 <= d <= p={y.p}, got d={d}")
-    ms, tetra = estimate_tetrachoric(y)
-    extra = {"n": y.n}
-    if meta:
-        extra.update(meta)
-    return fit_from_tetrachoric(ms, tetra, d, tau2_floor, extra)
-
-
-def _fit_pieces(
-    ms: MarginalSummary,
-    tetra: TetrachoricMatrix,
-    d: int,
-    tau2_floor: float,
-    meta: dict | None,
-) -> tuple[FactorModel, np.ndarray]:
-    """Fit and also hand back the orthonormal subspace basis."""
+    ``meta`` entries are added to the fit bookkeeping of ``FactorModel.meta``.
+    """
     e = sym_eigen(tetra.sigma)
     basis = leading_subspace(e, d)
     lead = e.values[:d]
@@ -202,7 +169,7 @@ def _fit_pieces(
     }
     if meta:
         info.update(meta)
-    model = FactorModel(
+    return FactorModel(
         d=d,
         p=tetra.p,
         c_hat=ms.c_hat.copy(),
@@ -211,7 +178,14 @@ def _fit_pieces(
         eigvals=lead.copy(),
         meta=info,
     )
-    return model, basis
+
+
+def fit_model(y: BinaryMatrix, d: int, tau2_floor: float = TAU2_FLOOR) -> FactorModel:
+    """End-to-end fit: ``estimate_tetrachoric`` then ``fit_from_tetrachoric``."""
+    if not 1 <= d <= y.p:
+        raise ValueError(f"need 1 <= d <= p={y.p}, got d={d}")
+    ms, tetra = estimate_tetrachoric(y)
+    return fit_from_tetrachoric(ms, tetra, d, tau2_floor, {"n": y.n})
 
 
 def _check_orthonormal(basis: np.ndarray) -> None:

@@ -256,13 +256,28 @@ class TestWriteMetrics:
         assert int(row["rep"]) == 0
         assert row["error"] == ""
 
-    def test_append_keeps_header_once(self, tmp_path):
+    def test_error_with_comma_and_newline_keeps_columns(self, tmp_path):
         path = tmp_path / "m.csv"
-        write_metrics(self._records(1), path)
-        write_metrics(self._records(2), path, append=True)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 4
-        assert sum(1 for ln in lines if ln.startswith("scenario,")) == 1
+        message = 'ValueError: model has p=3 but data has p=4, cannot score\n"second" line'
+        failed = MetricsRecord(
+            scenario="d2_p4_n100",
+            rep=1,
+            max_err=float("nan"),
+            subspace_d=float("nan"),
+            med_err=float("nan"),
+            tau_err=float("nan"),
+            error=message,
+        )
+        write_metrics([*self._records(1), failed], path)
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert len(reader.fieldnames) == 7
+        assert [len(row) for row in rows] == [7, 7]
+        assert all(None not in row for row in rows)
+        assert rows[0]["error"] == ""
+        assert rows[1]["error"] == message
+        assert rows[1]["rep"] == "1"
 
     def test_timings_opt_in(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -279,20 +294,19 @@ class TestWriteMetrics:
 class TestWriteScores:
     def test_layout(self, tmp_path):
         scores = LatentScores(
-            z_hat=np.array([[0.5, -1.0], [1.5, 2.0]]),
-            iterations=np.array([3, 4]),
-            grad_norms=np.array([1e-9, 2e-9]),
-            converged=np.array([True, False]),
+            z_hat=np.array([[0.5, -1.0], [1.5, 2.0], [1e-07, 1e16]]),
+            iterations=np.array([3, 4, 0]),
+            grad_norms=np.array([1e-9, 2e-9, 0.1]),
+            converged=np.array([True, False, True]),
         )
         path = tmp_path / "s.csv"
         write_scores(scores, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "z_1,z_2,iterations,grad_norm,converged"
-        assert len(lines) == 3
-        first = lines[1].split(",")
-        assert float(first[0]) == 0.5
-        assert first[2] == "3"
-        assert first[4] == "1"
+        assert path.read_text() == (
+            "z_1,z_2,iterations,grad_norm,converged\n"
+            "0.5,-1.0,3,1e-09,1\n"
+            "1.5,2.0,4,2e-09,0\n"
+            "1e-07,1e+16,0,0.1,1\n"
+        )
 
 
 class TestAtomicity:

@@ -9,7 +9,6 @@ from binfactor.moments import (
     estimate_tetrachoric,
     joint_frequency_matrix,
     marginal_frequencies,
-    pairwise_joint_frequency,
     tetrachoric_from_probabilities,
     thresholds,
 )
@@ -77,29 +76,20 @@ class TestThresholds:
 class TestPairwiseJointFrequency:
     def test_direct_count(self):
         y = bm([[1, 1], [1, 0], [0, 0]])
-        assert pairwise_joint_frequency(y, 0, 1) == pytest.approx(1.0 / 3.0)
+        assert joint_frequency_matrix(y)[0, 1] == pytest.approx(1.0 / 3.0)
 
     def test_symmetric(self):
         y = bm([[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]])
-        for j1 in range(3):
-            for j2 in range(3):
-                if j1 != j2:
-                    assert pairwise_joint_frequency(y, j1, j2) == pairwise_joint_frequency(y, j2, j1)
+        joint = joint_frequency_matrix(y)
+        np.testing.assert_array_equal(joint, joint.T)
 
     def test_identical_columns_give_marginal(self):
         y = bm([[1, 1], [0, 0], [1, 1], [1, 1]])
-        assert pairwise_joint_frequency(y, 0, 1) == marginal_frequencies(y)[0]
+        assert joint_frequency_matrix(y)[0, 1] == marginal_frequencies(y)[0]
 
     def test_disjoint_supports(self):
         y = bm([[1, 0], [0, 1], [1, 0]])
-        assert pairwise_joint_frequency(y, 0, 1) == 0.0
-
-    def test_bad_indices(self):
-        y = bm([[0, 1], [1, 0]])
-        with pytest.raises(ValueError):
-            pairwise_joint_frequency(y, 0, 2)
-        with pytest.raises(ValueError):
-            pairwise_joint_frequency(y, 1, 1)
+        assert joint_frequency_matrix(y)[0, 1] == 0.0
 
     def test_matrix_matches_pairwise(self):
         rng = np.random.default_rng(3)
@@ -107,8 +97,8 @@ class TestPairwiseJointFrequency:
         joint = joint_frequency_matrix(y)
         for j1 in range(5):
             for j2 in range(5):
-                if j1 != j2:
-                    assert joint[j1, j2] == pytest.approx(pairwise_joint_frequency(y, j1, j2))
+                both = y.data[:, j1] & y.data[:, j2]
+                assert joint[j1, j2] == pytest.approx(both.mean(dtype=np.float64))
 
 
 class TestEstimateTetrachoric:

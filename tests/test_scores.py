@@ -323,11 +323,6 @@ class TestEstimateScores:
         np.testing.assert_array_equal(scores.grad_norms, np.zeros(y.n))
         np.testing.assert_array_equal(scores.iterations, np.zeros(y.n, dtype=int))
 
-    def test_z_box_bounds_norms(self):
-        y, model = self._simulated(seed=25)
-        scores = estimate_scores(y, model, ScoreConfig(z_max=1.5))
-        assert np.all(np.linalg.norm(scores.z_hat, axis=1) <= 1.5 + 1e-12)
-
     def test_p_mismatch_rejected(self):
         y, model = self._simulated(seed=26)
         bad = FactorModel(

@@ -108,7 +108,6 @@ class TestGenerateDataset:
             b=np.zeros((6, 2)),
             tau2=np.full(6, 0.5),
             c=np.zeros(6),
-            sigma_b=np.zeros((2, 2)),
         )
         y, _, _ = generate_dataset(tm, 20_000, np.random.default_rng(11))
         _, tetra = estimate_tetrachoric(y)

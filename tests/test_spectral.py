@@ -10,11 +10,11 @@ from binfactor.spectral import (
     fit_model,
     leading_subspace,
     noise_variances,
-    projection,
     sign_normalize,
     subspace_discrepancy,
     sym_eigen,
 )
+from binfactor.spectral import _general_projection
 
 
 def random_orthonormal(p, d, seed):
@@ -96,12 +96,12 @@ class TestLeadingSubspace:
     def test_full_dimension_gives_identity_projection(self):
         e = sym_eigen(np.diag([3.0, 2.0, 1.0]))
         basis = leading_subspace(e, 3)
-        np.testing.assert_allclose(projection(basis), np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(_general_projection(basis), np.eye(3), atol=1e-12)
 
     def test_top_two_of_diagonal(self):
         e = sym_eigen(np.diag([3.0, 2.0, 1.0]))
         basis = leading_subspace(e, 2)
-        h = projection(basis)
+        h = _general_projection(basis)
         np.testing.assert_allclose(h, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
     def test_gap_warning_on_identity(self):
@@ -118,19 +118,15 @@ class TestLeadingSubspace:
 
 class TestProjection:
     def test_single_axis(self):
-        h = projection(np.array([[1.0], [0.0]]))
+        h = _general_projection(np.array([[1.0], [0.0]]))
         np.testing.assert_array_equal(h, [[1.0, 0.0], [0.0, 0.0]])
 
     def test_idempotent_and_traced(self):
         basis = random_orthonormal(9, 4, seed=8)
-        h = projection(basis)
+        h = _general_projection(basis)
         np.testing.assert_allclose(h @ h, h, atol=1e-10)
         assert np.trace(h) == pytest.approx(4.0, abs=1e-10)
         np.testing.assert_array_equal(h, h.T)
-
-    def test_rejects_non_orthonormal(self):
-        with pytest.raises(ValueError):
-            projection(np.array([[1.0], [1.0]]))
 
 
 class TestSubspaceDiscrepancy:
@@ -160,7 +156,7 @@ class TestSubspaceDiscrepancy:
     def test_trace_identity_equal_dims(self):
         a = random_orthonormal(12, 3, seed=9)
         b = random_orthonormal(12, 3, seed=10)
-        ha, hb = projection(a), projection(b)
+        ha, hb = a @ a.T, b @ b.T
         identity_form = 2.0 * (3.0 - np.trace(ha @ hb))
         assert subspace_discrepancy(a, b) == pytest.approx(identity_form, abs=1e-10)
 
@@ -205,6 +201,10 @@ class TestNoiseVariances:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             noise_variances(np.eye(3), np.zeros((4, 1)))
+
+    def test_rejects_non_orthonormal(self):
+        with pytest.raises(ValueError):
+            noise_variances(np.eye(2), np.array([[1.0], [1.0]]))
 
 
 class TestFitModel:
