@@ -42,10 +42,7 @@ from .scores import (
     LatentScores,
     ScoreConfig,
     estimate_scores,
-    fisher_information,
-    loglik_gradient,
     reconstruct,
-    restricted_loglik,
     select_tau_threshold,
 )
 from .selfcheck import CheckResult, run_selfcheck

@@ -16,7 +16,7 @@ from .moments import BinaryMatrix
 from .scores import ScoreConfig, estimate_scores
 from .selfcheck import format_report, run_selfcheck
 from .simulate import SimScenario, run_replications
-from .spectral import TAU2_FLOOR, fit_model
+from .spectral import fit_model
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -58,8 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--data", required=True, help="input CSV of 0/1 entries")
     fit.add_argument("--d", required=True, type=int, help="number of latent factors")
     fit.add_argument("--out", required=True, help="output model file")
-    fit.add_argument("--tau-floor", type=float, default=TAU2_FLOOR,
-                     help=f"lower floor for noise variances (default {TAU2_FLOOR:g})")
     fit.set_defaults(func=_cmd_fit)
 
     score = sub.add_parser("score", help="estimate latent factors for each sample")
@@ -97,8 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=_cmd_simulate)
 
     check = sub.add_parser("selfcheck", help="run the numerical verification battery")
-    check.add_argument("--tolerance-scale", type=float, default=1.0,
-                       help="rescale check tolerances (diagnostic hook)")
     check.set_defaults(func=_cmd_selfcheck)
     return parser
 
@@ -114,7 +110,7 @@ def _cmd_fit(args) -> int:
     y = _read_data(args.data)
     if not 1 <= args.d <= y.p:
         raise _UsageError(f"--d must be between 1 and p={y.p}, got {args.d}")
-    model = fit_model(y, args.d, tau2_floor=args.tau_floor)
+    model = fit_model(y, args.d)
     model_io.write_model(model, args.out)
     eig = ", ".join(f"{v:.6g}" for v in model.eigvals)
     print(f"fitted model: p={model.p} n={y.n} d={model.d}")
@@ -195,7 +191,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
-    results = run_selfcheck(tolerance_scale=args.tolerance_scale)
+    results = run_selfcheck()
     print(format_report(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_RUNTIME
 

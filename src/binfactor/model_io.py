@@ -132,7 +132,11 @@ def write_model(model: FactorModel, path) -> None:
 
 
 def read_model(path) -> FactorModel:
-    """Load a model file written by ``write_model``; round trips bit-exactly."""
+    """Load a model file written by ``write_model``; round trips bit-exactly.
+
+    Raises ``ModelFormatError`` unless 1 <= d <= p, the field lengths match,
+    every number is finite and every noise variance is non-negative.
+    """
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -161,8 +165,15 @@ def read_model(path) -> FactorModel:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed model file: {exc}") from exc
-    if model.c_hat.shape != (p,) or model.tau2_hat.shape != (p,):
-        raise ModelFormatError(f"{path}: field lengths do not match p={p}")
+    if not 1 <= d <= p:
+        raise ModelFormatError(f"{path}: need 1 <= d <= p, got d={d}, p={p}")
+    if model.c_hat.shape != (p,) or model.tau2_hat.shape != (p,) or model.eigvals.shape != (d,):
+        raise ModelFormatError(f"{path}: field lengths do not match p={p}, d={d}")
+    for name in ("c_hat", "b_hat", "tau2_hat", "eigvals"):
+        if not np.isfinite(getattr(model, name)).all():
+            raise ModelFormatError(f"{path}: {name} holds a non-finite value")
+    if (model.tau2_hat < 0.0).any():
+        raise ModelFormatError(f"{path}: tau2_hat holds a negative variance")
     return model
 
 
@@ -175,11 +186,14 @@ def write_metrics(
 
     Stage timings vary run to run, so they are excluded unless asked for:
     the default output is byte-identical across repeated runs of the same
-    seeded experiment.  An error message that holds a comma, a quote or a
-    newline is quoted, so every row keeps the header's columns.
+    seeded experiment.  A message holding a comma, a quote, a newline or a
+    carriage return is quoted, so every row keeps the header's columns.
     """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
+    # Before Python 3.12 a lone carriage return is quoted only if the line
+    # terminator holds one, so a row whose message does is quoted whole.
+    quote_all = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(METRICS_COLUMNS + (TIMING_COLUMNS if include_timings else []))
     for rec in records:
         row = [
@@ -193,7 +207,7 @@ def write_metrics(
         ]
         if include_timings:
             row.extend(_fmt(rec.timings.get(k, float("nan"))) for k in TIMING_COLUMNS)
-        writer.writerow(row)
+        (quote_all if "\r" in row[6] else writer).writerow(row)
     _atomic_write(path, out.getvalue())
 
 

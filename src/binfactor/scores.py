@@ -62,7 +62,6 @@ class LatentScores:
     iterations: np.ndarray
     grad_norms: np.ndarray
     converged: np.ndarray
-    ll_path: list | None = None
 
     @property
     def n(self) -> int:
@@ -87,32 +86,11 @@ def select_tau_threshold(tau2_hat: np.ndarray, m_percent: float) -> float:
     return float(kth_largest) - 1e-12
 
 
-def restricted_loglik(
-    z: np.ndarray, model: FactorModel, tau: float, y_row: np.ndarray
-) -> float:
-    """Restricted probit log-likelihood of one sample at latent position z."""
-    return float(_single_row(z, model, tau, y_row)[0])
-
-
-def loglik_gradient(
-    z: np.ndarray, model: FactorModel, tau: float, y_row: np.ndarray
-) -> np.ndarray:
-    """Gradient of the restricted log-likelihood in z."""
-    return _single_row(z, model, tau, y_row)[1]
-
-
-def fisher_information(z: np.ndarray, model: FactorModel, tau: float) -> np.ndarray:
-    """Fisher information of the restricted likelihood at z (d x d, PSD)."""
-    # The information does not depend on the observed row.
-    return _single_row(z, model, tau, np.zeros(model.p))[2]
-
-
 def estimate_scores(
     y: BinaryMatrix,
     model: FactorModel,
     cfg: ScoreConfig | None = None,
     z0: np.ndarray | None = None,
-    record_path: bool = False,
 ) -> LatentScores:
     """Estimate the latent factors of every sample.
 
@@ -124,6 +102,9 @@ def estimate_scores(
     point) stops too, since every later step would repeat it; it keeps
     ``converged=False``, its gradient norm and the steps it took.  Rows are
     independent; the result does not depend on their order.
+
+    Rows start at the origin, or at their rows of ``z0`` (n x d).  With no
+    component included every row converges at its start after 0 steps.
     """
     cfg = cfg or ScoreConfig()
     if model.p != y.p:
@@ -139,16 +120,6 @@ def estimate_scores(
         if z.shape != (n, d):
             raise ValueError(f"z0 must have shape {(n, d)}, got {z.shape}")
 
-    if not incl.mask.any():
-        # Nothing to fit against: the start point is already stationary.
-        return LatentScores(
-            z_hat=z,
-            iterations=np.zeros(n, dtype=int),
-            grad_norms=np.zeros(n),
-            converged=np.ones(n, dtype=bool),
-            ll_path=[np.zeros(n)] if record_path else None,
-        )
-
     y_incl = y.data[:, incl.mask]
     iters = np.zeros(n, dtype=int)
     gnorm = np.zeros(n)
@@ -156,7 +127,6 @@ def estimate_scores(
     active = np.arange(n)
     # The log-likelihood, gradient and information of each row's current point.
     ll, g, fisher = _evaluate(z, y_incl, active, incl, model.p)
-    path = [ll.copy()] if record_path else None
 
     steps = 0
     while active.size:
@@ -195,15 +165,12 @@ def estimate_scores(
         stalled = np.all(z[active] == z_cur, axis=1)
         gnorm[active[stalled]] = gn[stalled]
         active = active[~stalled]
-        if record_path:
-            path.append(ll.copy())
 
     return LatentScores(
         z_hat=z,
         iterations=iters,
         grad_norms=gnorm,
         converged=conv,
-        ll_path=path,
     )
 
 
@@ -235,23 +202,6 @@ def _inclusion(model: FactorModel, tau: float) -> _Inclusion:
         bt=(model.b_hat[mask] / scale).T[:, :, None].copy(),
         ct=model.c_hat[mask, None] / scale,
     )
-
-
-def _single_row(z, model, tau, y_row):
-    """Check one sample's arguments; return its (ll, gradient, information)."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if z.size != model.d:
-        raise ValueError(f"z has length {z.size}, model has d={model.d}")
-    y_row = np.asarray(y_row, dtype=float).reshape(-1)
-    if y_row.size != model.p:
-        raise ValueError(f"y_row has length {y_row.size}, model has p={model.p}")
-    incl = _inclusion(model, tau)
-    if not incl.mask.any():
-        return 0.0, np.zeros(model.d), np.zeros((model.d, model.d))
-    ll, g, fisher = _evaluate(
-        z[None, :], y_row[None, incl.mask], np.zeros(1, dtype=np.intp), incl, model.p
-    )
-    return ll[0], g[0], fisher[0]
 
 
 def _evaluate(z, y_incl, rows, incl: _Inclusion, p: int):
@@ -329,7 +279,9 @@ def _kernel(zt, y, incl: _Inclusion):
 def _column_sums(v):
     """Sums over the first axis, folded pairwise: this rounds less than a
     running sum, and unlike ``v.sum(axis=0)`` it adds every column in the
-    same order, a single column included."""
+    same order, a single column included.  No terms sum to zeros."""
+    if len(v) == 0:
+        return np.zeros(v.shape[1:])
     while len(v) > 1:
         half = len(v) // 2
         folded = v[:half] + v[half : 2 * half]

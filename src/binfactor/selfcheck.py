@@ -31,12 +31,11 @@ class CheckResult:
     passed: bool
 
 
-def run_selfcheck(tolerance_scale: float = 1.0) -> list[CheckResult]:
-    """Run every check; ``tolerance_scale`` rescales tolerances (test hook)."""
+def run_selfcheck() -> list[CheckResult]:
+    """Run every check against its tolerance."""
     results = []
     for name, func, tol in _CHECKS:
         err = func()
-        tol = tol * tolerance_scale
         results.append(CheckResult(name, err, tol, err <= tol))
     return results
 

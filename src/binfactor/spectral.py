@@ -115,11 +115,10 @@ def subspace_discrepancy(a: np.ndarray, b: np.ndarray) -> float:
 def noise_variances(
     sigma: np.ndarray,
     basis: np.ndarray,
-    floor: float = TAU2_FLOOR,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal of the correlation matrix projected off the loading span.
 
-    Returns the variance vector (floored below at ``floor``, since a
+    Returns the variance vector (floored below at ``TAU2_FLOOR``, since a
     finite-sample projection can dip negative) and the boolean mask of
     floored entries.  With Q = I - U U^T for the orthonormal basis U and a
     symmetric ``sigma``, diag(Q sigma Q) = diag(sigma) - 2 rowsum(U o sigma U)
@@ -139,20 +138,20 @@ def noise_variances(
         - 2.0 * np.sum(basis * sigma_u, axis=1)
         + np.sum((basis @ (basis.T @ sigma_u)) * basis, axis=1)
     )
-    clamped = raw < floor
-    return np.maximum(raw, floor), clamped
+    clamped = raw < TAU2_FLOOR
+    return np.maximum(raw, TAU2_FLOOR), clamped
 
 
 def fit_from_tetrachoric(
     ms: MarginalSummary,
     tetra: TetrachoricMatrix,
     d: int,
-    tau2_floor: float = TAU2_FLOOR,
     meta: dict | None = None,
 ) -> FactorModel:
     """Assemble a factor model from an estimated correlation matrix.
 
-    ``meta`` entries are added to the fit bookkeeping of ``FactorModel.meta``.
+    The noise variances are floored at ``TAU2_FLOOR``; ``meta`` entries are
+    added to the fit bookkeeping of ``FactorModel.meta``.
     """
     e = sym_eigen(tetra.sigma)
     basis = leading_subspace(e, d)
@@ -160,7 +159,7 @@ def fit_from_tetrachoric(
     # The correlation estimate is not forced positive semidefinite, so a
     # leading eigenvalue can in principle be negative; clip before sqrt.
     b_hat = basis * np.sqrt(np.maximum(lead, 0.0))[None, :]
-    tau2, tau2_clamped = noise_variances(tetra.sigma, basis, tau2_floor)
+    tau2, tau2_clamped = noise_variances(tetra.sigma, basis)
     info = {
         "marginal_clamps": ms.clamp_count,
         "pair_clamps": len(tetra.clamp_flags),
@@ -180,12 +179,12 @@ def fit_from_tetrachoric(
     )
 
 
-def fit_model(y: BinaryMatrix, d: int, tau2_floor: float = TAU2_FLOOR) -> FactorModel:
+def fit_model(y: BinaryMatrix, d: int) -> FactorModel:
     """End-to-end fit: ``estimate_tetrachoric`` then ``fit_from_tetrachoric``."""
     if not 1 <= d <= y.p:
         raise ValueError(f"need 1 <= d <= p={y.p}, got d={d}")
     ms, tetra = estimate_tetrachoric(y)
-    return fit_from_tetrachoric(ms, tetra, d, tau2_floor, {"n": y.n})
+    return fit_from_tetrachoric(ms, tetra, d, {"n": y.n})
 
 
 def _check_orthonormal(basis: np.ndarray) -> None:

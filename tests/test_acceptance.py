@@ -15,6 +15,7 @@ import pytest
 
 import binfactor as bf
 from binfactor.cli import main as cli_main
+from binfactor.scores import _evaluate, _inclusion
 
 SEED = 20260808
 REPS = 50
@@ -235,6 +236,15 @@ def test_criterion_8_noise_variance_trend(grid_p20):
     assert ok
 
 
+def kernel_rows(z, model, tau, y):
+    """Log-likelihood, gradient and information of each point ``z[i]``
+    against data row ``y[i]``, through the scoring kernel."""
+    incl = _inclusion(model, tau)
+    z = np.asarray(z, dtype=float)
+    y = np.asarray(y, dtype=float)[:, incl.mask]
+    return _evaluate(z, y, np.arange(len(z)), incl, model.p)
+
+
 def test_criterion_9_optimizer_correctness():
     rng = np.random.default_rng(SEED)
     fd_worst = 0.0
@@ -259,21 +269,27 @@ def test_criterion_9_optimizer_correctness():
         # absolute floor for the comparison to measure the formula rather
         # than float rounding.
         z = rng.standard_normal(2)
-        y_row = y.data[0]
-        grad = bf.loglik_gradient(z, model, tau, y_row)
+        y_row = y.data[:1]
+        grad = kernel_rows(z[None, :], model, tau, y_row)[1][0]
         for k in range(2):
             dz = np.zeros(2)
             dz[k] = h
             fd = (
-                bf.restricted_loglik(z + dz, model, tau, y_row)
-                - bf.restricted_loglik(z - dz, model, tau, y_row)
+                kernel_rows((z + dz)[None, :], model, tau, y_row)[0][0]
+                - kernel_rows((z - dz)[None, :], model, tau, y_row)[0][0]
             ) / (2 * h)
             allowed = 1e-5 * abs(grad[k]) + 1e-9
             fd_worst = max(fd_worst, abs(fd - grad[k]) / allowed)
 
-        # Newton path monotone, converged rows stationary
-        scores = bf.estimate_scores(y, model, record_path=True)
-        path = np.stack(scores.ll_path)
+        # Newton path monotone, converged rows stationary.  The ascent is
+        # deterministic and rows are independent, so a run capped at k steps
+        # stops where the uncapped run is after k steps.
+        scores = bf.estimate_scores(y, model)
+        states = [np.zeros((4, 2))] + [
+            bf.estimate_scores(y, model, bf.ScoreConfig(max_iter=k)).z_hat
+            for k in range(1, int(scores.iterations.max()) + 1)
+        ]
+        path = np.stack([kernel_rows(s, model, tau, y.data)[0] for s in states])
         path_ok = path_ok and bool(np.all(np.diff(path, axis=0) >= -1e-12))
         grad_ok = grad_ok and bool(
             np.all(scores.grad_norms[scores.converged] <= 1e-8)
@@ -286,11 +302,11 @@ def test_criterion_9_optimizer_correctness():
         norms = np.linalg.norm(z0, axis=1, keepdims=True)
         z0 = np.where(norms > 3.0, z0 * (3.0 / norms), z0)
         b = bf.estimate_scores(y, model, cfg, z0=z0)
+        lam_min = np.linalg.eigvalsh(kernel_rows(a.z_hat, model, tau, y.data)[2]).min(axis=1)
         for i in range(4):
             if not (a.converged[i] and b.converged[i]):
                 continue
-            lam = np.linalg.eigvalsh(bf.fisher_information(a.z_hat[i], model, tau)).min()
-            if lam < 1e-4:
+            if lam_min[i] < 1e-4:
                 continue
             restart_worst = max(
                 restart_worst, float(np.linalg.norm(a.z_hat[i] - b.z_hat[i]))

@@ -88,6 +88,53 @@ class TestScore:
         assert code == 2
 
 
+def _degenerate_case(case):
+    """(data, d) for one degenerate input, derived from 300 x 6 model data."""
+    scn = SimScenario(d=2, p=6, n=300, reps=1, seed=5)
+    tm = generate_true_model(scn, np.random.default_rng([5, 0]))
+    y = generate_dataset(tm, 300, np.random.default_rng([5, 1, 0]))[0].data.copy()
+    d = 2
+    if case == "constant column":
+        y[:, 0] = 1
+    elif case == "duplicated column":
+        y[:, 1] = y[:, 0]
+    elif case == "complemented column":
+        y[:, 1] = 1 - y[:, 0]
+    elif case == "p=2":
+        y, d = y[:, :2], 1
+    elif case == "d=p":
+        d = 6
+    elif case == "n=1":
+        y = y[:1]
+    elif case == "all zero":
+        y = np.zeros_like(y)
+    return y, d
+
+
+class TestDegenerateInputs:
+    @pytest.mark.parametrize("case", [
+        "constant column", "duplicated column", "complemented column",
+        "p=2", "d=p", "n=1", "all zero",
+    ])
+    def test_fit_then_score_is_finite_and_repeatable(self, tmp_path, case):
+        y, d = _degenerate_case(case)
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(",".join(map(str, row)) for row in y) + "\n")
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--data", str(data), "--d", str(d), "--out", str(model_path)]) == 0
+        model = read_model(model_path)
+        for values in (model.c_hat, model.b_hat, model.tau2_hat, model.eigvals):
+            assert np.isfinite(values).all()
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for out in outs:
+            assert main(["score", "--data", str(data), "--model", str(model_path),
+                         "--out", str(out)]) == 0
+        z_hat = np.loadtxt(outs[0], delimiter=",", skiprows=1, ndmin=2)[:, :d]
+        assert z_hat.shape == y.shape[:1] + (d,)
+        assert np.isfinite(z_hat).all()
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 class TestSimulate:
     def test_smoke_row_count(self, tmp_path):
         out = tmp_path / "metrics.csv"
@@ -161,8 +208,12 @@ class TestSelfcheck:
         assert "quadrant closed form" in out
         assert "FAIL" not in out
 
-    def test_tolerance_injection_fails(self, capsys):
-        assert main(["selfcheck", "--tolerance-scale", "1e-12"]) == 1
+    def test_tolerance_injection_fails(self, capsys, monkeypatch):
+        import binfactor.selfcheck as selfcheck_mod
+
+        failing = ("injected failure", lambda: 1.0, 0.0)
+        monkeypatch.setattr(selfcheck_mod, "_CHECKS", [*selfcheck_mod._CHECKS, failing])
+        assert main(["selfcheck"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
 

@@ -217,6 +217,30 @@ class TestModelRoundTrip:
         with pytest.raises(ModelFormatError):
             read_model(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"c_hat": [float("nan"), 0.0, 0.0, 0.0, 0.0]},
+            {"b_hat": [[float("inf"), 0.0]] + [[0.1, 0.1]] * 4},
+            {"tau2_hat": [float("nan"), 0.5, 0.5, 0.5, 0.5]},
+            {"eigvals": [float("inf"), 1.0]},
+            {"tau2_hat": [-0.1, 0.5, 0.5, 0.5, 0.5]},
+            {"d": 0, "b_hat": [[]] * 5, "eigvals": []},
+            {"d": 6, "b_hat": [[0.1] * 6] * 5, "eigvals": [1.0] * 6},
+            {"eigvals": [2.0, 1.0, 0.5]},
+        ],
+        ids=["nan c_hat", "inf b_hat", "nan tau2", "inf eigvals", "negative tau2",
+             "d=0", "d>p", "eigvals length"],
+    )
+    def test_corrupt_fields_rejected(self, tmp_path, changes):
+        path = tmp_path / "m.json"
+        write_model(make_model(), path)
+        doc = json.loads(path.read_text())
+        doc.update(changes)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError):
+            read_model(path)
+
 
 class TestWriteMetrics:
     def _records(self, k):
@@ -278,6 +302,25 @@ class TestWriteMetrics:
         assert rows[0]["error"] == ""
         assert rows[1]["error"] == message
         assert rows[1]["rep"] == "1"
+
+    def test_error_with_lone_carriage_return_keeps_columns(self, tmp_path):
+        path = tmp_path / "m.csv"
+        failed = MetricsRecord(
+            scenario="d2_p4_n100",
+            rep=1,
+            max_err=float("nan"),
+            subspace_d=float("nan"),
+            med_err=float("nan"),
+            tau_err=float("nan"),
+            error="OSError: bad\rthing",
+        )
+        write_metrics([failed, *self._records(1)], path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [len(row) for row in rows] == [7, 7]
+        assert all(None not in row for row in rows)
+        assert rows[0]["error"] == "OSError: bad\rthing"
+        assert rows[1]["error"] == ""
 
     def test_timings_opt_in(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -10,14 +10,13 @@ from binfactor.gaussian import std_normal_cdf
 from binfactor.moments import BinaryMatrix
 from binfactor.scores import (
     _BLOCK_ROWS,
+    _evaluate,
+    _inclusion,
     _solve_steps,
     LatentScores,
     ScoreConfig,
     estimate_scores,
-    fisher_information,
-    loglik_gradient,
     reconstruct,
-    restricted_loglik,
     select_tau_threshold,
 )
 from binfactor.spectral import FactorModel
@@ -33,6 +32,25 @@ def make_model(p, d, seed, tau2=None, c=None):
     )
 
 
+def evaluate_rows(z, model, tau, y):
+    """Log-likelihood, gradient and information of each point ``z[i]``
+    against data row ``y[i]``, through the scoring kernel."""
+    incl = _inclusion(model, tau)
+    z = np.asarray(z, dtype=float)
+    y = np.asarray(y, dtype=float)[:, incl.mask]
+    return _evaluate(z, y, np.arange(len(z)), incl, model.p)
+
+
+def evaluate_row(z, model, tau, y_row):
+    """(log-likelihood, gradient, information) of one sample."""
+    ll, g, info = evaluate_rows(np.reshape(z, (1, -1)), model, tau, np.reshape(y_row, (1, -1)))
+    return ll[0], g[0], info[0]
+
+
+def loglik(z, model, tau, y_row):
+    return evaluate_row(z, model, tau, y_row)[0]
+
+
 def loglik_oracle(z, model, tau, y_row):
     """Independent scalar re-implementation of the restricted sum."""
     total = 0.0
@@ -44,6 +62,21 @@ def loglik_oracle(z, model, tau, y_row):
         hi = max(float(std_normal_cdf(-x)), 1e-15)  # 1 - Phi(x), full precision
         total += y_row[j] * math.log(lo) + (1 - y_row[j]) * math.log(hi)
     return total / model.p
+
+
+def likelihood_path(y, model):
+    """Each row's log-likelihood after 0, 1, ... steps of the default ascent.
+
+    The ascent is deterministic and rows are independent, so a run capped
+    at k steps stops where the uncapped run is after k steps.
+    """
+    cfg = ScoreConfig()
+    tau = select_tau_threshold(model.tau2_hat, cfg.m_percent)
+    steps = int(estimate_scores(y, model, cfg).iterations.max())
+    states = [np.zeros((y.n, model.d))] + [
+        estimate_scores(y, model, ScoreConfig(max_iter=k)).z_hat for k in range(1, steps + 1)
+    ]
+    return np.stack([evaluate_rows(z, model, tau, y.data)[0] for z in states])
 
 
 class TestSelectTauThreshold:
@@ -75,13 +108,13 @@ class TestSelectTauThreshold:
 class TestRestrictedLoglik:
     def test_symmetric_case(self):
         model = make_model(6, 2, seed=1, c=np.zeros(6))
-        val = restricted_loglik(np.zeros(2), model, 0.0, np.ones(6))
+        val = loglik(np.zeros(2), model, 0.0, np.ones(6))
         assert val == pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_empty_inclusion_is_zero(self):
         model = make_model(5, 2, seed=2)
         tau_above_all = float(np.sqrt(model.tau2_hat).max()) + 1.0
-        assert restricted_loglik(np.zeros(2), model, tau_above_all, np.zeros(5)) == 0.0
+        assert loglik(np.zeros(2), model, tau_above_all, np.zeros(5)) == 0.0
 
     def test_matches_direct_oracle(self):
         rng = np.random.default_rng(9)
@@ -90,7 +123,7 @@ class TestRestrictedLoglik:
         for _ in range(10):
             z = rng.standard_normal(2)
             y_row = rng.integers(0, 2, size=5)
-            mine = restricted_loglik(z, model, tau, y_row)
+            mine = loglik(z, model, tau, y_row)
             assert mine == pytest.approx(loglik_oracle(z, model, tau, y_row), abs=1e-12)
 
     def test_never_positive(self):
@@ -99,7 +132,7 @@ class TestRestrictedLoglik:
         for _ in range(20):
             z = rng.standard_normal(2) * 2
             y_row = rng.integers(0, 2, size=8)
-            assert restricted_loglik(z, model, 0.0, y_row) <= 0.0
+            assert loglik(z, model, 0.0, y_row) <= 0.0
 
     def test_exclusion_leaves_included_terms(self):
         model = make_model(6, 2, seed=6)
@@ -110,9 +143,7 @@ class TestRestrictedLoglik:
         tau_lo = select_tau_threshold(model.tau2_hat, 100.0)
         tau_hi = select_tau_threshold(model.tau2_hat, 50.0)
         dropped = (tau_sd > tau_lo) & ~(tau_sd > tau_hi)
-        diff = restricted_loglik(z, model, tau_lo, y_row) - restricted_loglik(
-            z, model, tau_hi, y_row
-        )
+        diff = loglik(z, model, tau_lo, y_row) - loglik(z, model, tau_hi, y_row)
         per_term = 0.0
         for j in np.flatnonzero(dropped):
             x = (float(model.b_hat[j] @ z) - model.c_hat[j]) / tau_sd[j]
@@ -120,13 +151,6 @@ class TestRestrictedLoglik:
             hi = max(float(std_normal_cdf(-x)), 1e-15)
             per_term += y_row[j] * math.log(lo) + (1 - y_row[j]) * math.log(hi)
         assert diff == pytest.approx(per_term / model.p, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        model = make_model(5, 2, seed=8)
-        with pytest.raises(ValueError):
-            restricted_loglik(np.zeros(3), model, 0.0, np.zeros(5))
-        with pytest.raises(ValueError):
-            restricted_loglik(np.zeros(2), model, 0.0, np.zeros(4))
 
 
 class TestLoglikGradient:
@@ -138,13 +162,13 @@ class TestLoglikGradient:
         for _ in range(10):
             z = rng.standard_normal(2)
             y_row = rng.integers(0, 2, size=10)
-            grad = loglik_gradient(z, model, tau, y_row)
+            grad = evaluate_row(z, model, tau, y_row)[1]
             for k in range(2):
                 dz = np.zeros(2)
                 dz[k] = h
                 fd = (
-                    restricted_loglik(z + dz, model, tau, y_row)
-                    - restricted_loglik(z - dz, model, tau, y_row)
+                    loglik(z + dz, model, tau, y_row)
+                    - loglik(z - dz, model, tau, y_row)
                 ) / (2 * h)
                 assert fd == pytest.approx(grad[k], rel=1e-5, abs=1e-10)
 
@@ -152,7 +176,7 @@ class TestLoglikGradient:
         model = make_model(5, 3, seed=14)
         tau_above_all = float(np.sqrt(model.tau2_hat).max()) + 1.0
         np.testing.assert_array_equal(
-            loglik_gradient(np.ones(3), model, tau_above_all, np.zeros(5)), np.zeros(3)
+            evaluate_row(np.ones(3), model, tau_above_all, np.zeros(5))[1], np.zeros(3)
         )
 
 
@@ -186,7 +210,7 @@ class TestTails:
                 oracle = float(mp.log1p(-mp.ncdf(-mp.mpf(t))))
             else:
                 oracle = float(mp.log(mp.ncdf(mp.mpf(t))))
-        val = restricted_loglik(np.array([x]), unit_probit_model(), 0.0, np.array([y]))
+        val = loglik(np.array([x]), unit_probit_model(), 0.0, np.array([y]))
         assert val == pytest.approx(oracle, rel=1e-13, abs=1e-300)
 
     @pytest.mark.parametrize("x, y", TAIL_POINTS)
@@ -195,10 +219,10 @@ class TestTails:
         row = np.array([y])
         h = 1e-6
         fd = (
-            restricted_loglik(np.array([x + h]), model, 0.0, row)
-            - restricted_loglik(np.array([x - h]), model, 0.0, row)
+            loglik(np.array([x + h]), model, 0.0, row)
+            - loglik(np.array([x - h]), model, 0.0, row)
         ) / (2 * h)
-        grad = loglik_gradient(np.array([x]), model, 0.0, row)[0]
+        grad = evaluate_row(np.array([x]), model, 0.0, row)[1][0]
         assert grad == pytest.approx(fd, rel=1e-6, abs=1e-300)
 
 
@@ -213,14 +237,14 @@ class TestFisherInformation:
             eigvals=np.array([1.0]),
         )
         # pdf(0)^2 / (Phi(0) * (1 - Phi(0))) = 4 pdf(0)^2
-        info = fisher_information(np.zeros(1), model, 0.0)
+        info = evaluate_row(np.zeros(1), model, 0.0, np.zeros(1))[2]
         assert info[0, 0] == pytest.approx(0.6366197723675814, abs=1e-12)
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(15)
         model = make_model(12, 3, seed=16)
         for _ in range(10):
-            info = fisher_information(rng.standard_normal(3), model, 0.0)
+            info = evaluate_row(rng.standard_normal(3), model, 0.0, np.zeros(12))[2]
             np.testing.assert_allclose(info, info.T, atol=1e-14)
             assert np.linalg.eigvalsh(info).min() >= -1e-12
 
@@ -238,11 +262,11 @@ class TestFisherInformation:
         y_bar = draws.mean(axis=0)
         h = 1e-4
         num_hess = -(
-            restricted_loglik(z + h, model, tau, y_bar)
-            - 2 * restricted_loglik(z, model, tau, y_bar)
-            + restricted_loglik(z - h, model, tau, y_bar)
+            loglik(z + h, model, tau, y_bar)
+            - 2 * loglik(z, model, tau, y_bar)
+            + loglik(z - h, model, tau, y_bar)
         ) / h**2
-        info = fisher_information(z, model, tau)[0, 0]
+        info = evaluate_row(z, model, tau, y_bar)[2][0, 0]
         assert num_hess == pytest.approx(info, rel=0.02)
 
 
@@ -270,8 +294,7 @@ class TestEstimateScores:
 
     def test_likelihood_path_non_decreasing(self):
         y, model = self._simulated(seed=20)
-        scores = estimate_scores(y, model, record_path=True)
-        path = np.stack(scores.ll_path)
+        path = likelihood_path(y, model)
         assert np.all(np.diff(path, axis=0) >= -1e-12)
 
     def test_start_point_invariance(self):
@@ -287,15 +310,8 @@ class TestEstimateScores:
         cfg = ScoreConfig(grad_tol=1e-11)
         a = estimate_scores(y, model, cfg)
         b = estimate_scores(y, model, cfg, z0=z0)
-        from binfactor.scores import select_tau_threshold
-
         tau = select_tau_threshold(model.tau2_hat, cfg.m_percent)
-        lam_min = np.array(
-            [
-                np.linalg.eigvalsh(fisher_information(a.z_hat[i], model, tau)).min()
-                for i in range(y.n)
-            ]
-        )
+        lam_min = np.linalg.eigvalsh(evaluate_rows(a.z_hat, model, tau, y.data)[2]).min(axis=1)
         usable = a.converged & b.converged & (lam_min >= 1e-4)
         assert usable.mean() > 0.4
         np.testing.assert_allclose(a.z_hat[usable], b.z_hat[usable], atol=1e-6)
