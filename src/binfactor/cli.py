@@ -12,7 +12,6 @@ import os
 import sys
 
 from . import model_io
-from .moments import BinaryMatrix
 from .scores import ScoreConfig, estimate_scores
 from .selfcheck import format_report, run_selfcheck
 from .simulate import SimScenario, run_replications
@@ -21,6 +20,13 @@ from .spectral import fit_model
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
+
+
+# Preset (p, n) grids for ``simulate --grid``; "desk" is also the default.
+_GRIDS = {
+    "desk": ([20, 50], [1000, 2000, 4000]),
+    "full": ([50, 80, 100], [4000 + 2000 * r for r in range(6)]),
+}
 
 
 class _UsageError(Exception):
@@ -35,6 +41,9 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad flags and 0 on --help; pass that through.
         return int(exc.code or 0)
     try:
+        out = getattr(args, "out", None)
+        if out and not os.path.isdir(os.path.dirname(out) or "."):
+            raise _UsageError(f"--out directory does not exist: {out}")
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -73,15 +82,16 @@ def _build_parser() -> argparse.ArgumentParser:
     score.set_defaults(func=_cmd_score)
 
     sim = sub.add_parser("simulate", help="run the Monte Carlo study")
-    sim.add_argument("--p", type=_int_list, default=None,
-                     help="feature dimensions, comma separated (default 20,50)")
-    sim.add_argument("--n", type=_int_list, default=None,
-                     help="sample sizes, comma separated (default 1000,2000,4000)")
+    desk_p, desk_n = (",".join(map(str, v)) for v in _GRIDS["desk"])
+    sim.add_argument("--p", type=_int_list, default=desk_p,
+                     help=f"feature dimensions, comma separated (default {desk_p})")
+    sim.add_argument("--n", type=_int_list, default=desk_n,
+                     help=f"sample sizes, comma separated (default {desk_n})")
     sim.add_argument("--d", type=int, default=2, help="factor dimension (default 2)")
     sim.add_argument("--reps", type=int, default=50, help="replications per scenario")
     sim.add_argument("--seed", type=int, default=0, help="base RNG seed")
     sim.add_argument("--out", required=True, help="output metrics CSV")
-    sim.add_argument("--grid", choices=["desk", "full"], default=None,
+    sim.add_argument("--grid", choices=list(_GRIDS), default=None,
                      help="preset (p, n) grid; overrides --p/--n")
     sim.add_argument("--m", type=float, default=90.0,
                      help="scoring inclusion percentage (default 90)")
@@ -101,13 +111,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from exc
+        values = [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}")
+    return values
 
 
 def _cmd_fit(args) -> int:
-    y = _read_data(args.data)
+    y = model_io.read_binary_matrix(args.data)
     if not 1 <= args.d <= y.p:
         raise _UsageError(f"--d must be between 1 and p={y.p}, got {args.d}")
     model = fit_model(y, args.d)
@@ -125,14 +138,14 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    y = _read_data(args.data)
-    model = model_io.read_model(args.model)
-    if model.p != y.p:
-        raise _UsageError(f"model expects p={model.p} features, data has p={y.p}")
     try:
         cfg = ScoreConfig(m_percent=args.m, grad_tol=args.grad_tol, max_iter=args.max_iter)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
+    y = model_io.read_binary_matrix(args.data)
+    model = model_io.read_model(args.model)
+    if model.p != y.p:
+        raise _UsageError(f"model expects p={model.p} features, data has p={y.p}")
     scores = estimate_scores(y, model, cfg)
     model_io.write_scores(scores, args.out)
     n_conv = int(scores.converged.sum())
@@ -142,20 +155,9 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.reps < 1:
-        raise _UsageError(f"--reps must be at least 1, got {args.reps}")
     if args.threads < 1:
         raise _UsageError(f"--threads must be at least 1, got {args.threads}")
-    if args.grid == "full":
-        ps = [50, 80, 100]
-        ns = [4000 + 2000 * r for r in range(6)]
-    elif args.grid == "desk":
-        ps, ns = [20, 50], [1000, 2000, 4000]
-    else:
-        ps = args.p if args.p is not None else [20, 50]
-        ns = args.n if args.n is not None else [1000, 2000, 4000]
-    if not ps or not ns:
-        raise _UsageError("--p and --n must be non-empty")
+    ps, ns = _GRIDS[args.grid] if args.grid else (args.p, args.n)
     try:
         scenarios = [
             SimScenario(
@@ -170,21 +172,10 @@ def _cmd_simulate(args) -> int:
         raise _UsageError(str(exc)) from exc
 
     records = []
-    try:
-        for scn in scenarios:
-            print(f"running {scn.label} ({scn.reps} replications)", file=sys.stderr)
-            run_replications(
-                scn,
-                score_config=cfg,
-                threads=args.threads,
-                on_record=records.append,
-            )
-            model_io.write_metrics(records, args.out, include_timings=args.timings)
-    except Exception:
-        # Keep whatever completed before the failure.
-        if records:
-            model_io.write_metrics(records, args.out, include_timings=args.timings)
-        raise
+    for scn in scenarios:
+        print(f"running {scn.label} ({scn.reps} replications)", file=sys.stderr)
+        records.extend(run_replications(scn, score_config=cfg, threads=args.threads))
+        model_io.write_metrics(records, args.out, include_timings=args.timings)
     failures = sum(1 for r in records if r.error)
     print(f"wrote {len(records)} metric rows to {args.out} ({failures} failed replications)")
     return EXIT_OK
@@ -194,12 +185,6 @@ def _cmd_selfcheck(args) -> int:
     results = run_selfcheck()
     print(format_report(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_RUNTIME
-
-
-def _read_data(path) -> BinaryMatrix:
-    if not os.path.exists(path):
-        raise _UsageError(f"data file not found: {path}")
-    return model_io.read_binary_matrix(path)
 
 
 if __name__ == "__main__":

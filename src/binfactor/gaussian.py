@@ -180,11 +180,9 @@ class InversionResult:
     ``tetrachoric_invert_batch`` describes, or when the root lies closer
     to +-1 than ``1 - RHO_CLAMP``; the returned correlation is then
     ``+-(1 - RHO_CLAMP)``, so no unclamped root lies beyond a clamped one.
-    ``ell_at_rho`` is ell at the returned correlation.
     """
 
     rho_hat: float
-    ell_at_rho: float
     iterations: int
     clamped: bool
 
@@ -193,11 +191,10 @@ def tetrachoric_invert(c1: float, c2: float, p_target: float) -> InversionResult
     """Solve ell(c1, c2; rho) = p_target for rho.
 
     A 1-element call to ``tetrachoric_invert_batch``, which describes the
-    root finder and the clamp rules; this wrapper adds ``ell_at_rho``.
+    root finder and the clamp rules.
     """
     rho, iterations, clamped = tetrachoric_invert_batch(c1, c2, p_target)
-    rho = float(rho)
-    return InversionResult(rho, bvn_upper_tail(c1, c2, rho), int(iterations), bool(clamped))
+    return InversionResult(float(rho), int(iterations), bool(clamped))
 
 
 def tetrachoric_invert_batch(c1, c2, p_target) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

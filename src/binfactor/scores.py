@@ -39,7 +39,7 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 @dataclass(frozen=True)
 class ScoreConfig:
-    """Scoring options: inclusion percentage and stopping rule."""
+    """Scoring options: inclusion percentage and stopping rule, checked on construction."""
 
     m_percent: float = 90.0
     grad_tol: float = 1e-8
@@ -48,8 +48,8 @@ class ScoreConfig:
     def __post_init__(self):
         if not 0.0 < self.m_percent <= 100.0:
             raise ValueError(f"m_percent must be in (0, 100], got {self.m_percent}")
-        if self.grad_tol <= 0.0:
-            raise ValueError("grad_tol must be positive")
+        if not 0.0 < self.grad_tol < math.inf:
+            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 

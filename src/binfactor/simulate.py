@@ -19,7 +19,6 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -37,7 +36,10 @@ from .spectral import (
 
 @dataclass(frozen=True)
 class SimScenario:
-    """One experiment configuration."""
+    """One experiment configuration, checked on construction.
+
+    The moments need p >= 2 columns and numpy needs a seed >= 0.
+    """
 
     d: int
     p: int
@@ -47,10 +49,11 @@ class SimScenario:
     normalize_rows: bool = True
 
     def __post_init__(self):
-        if self.d < 1 or self.p < self.d or self.n < 1 or self.reps < 1:
+        if self.d < 1 or self.p < max(self.d, 2) or self.n < 1 or self.reps < 1 or self.seed < 0:
             raise ValueError(
                 f"invalid scenario: d={self.d}, p={self.p}, n={self.n}, "
-                f"reps={self.reps} (need d >= 1, p >= d, n >= 1, reps >= 1)"
+                f"reps={self.reps}, seed={self.seed} "
+                "(need d >= 1, p >= max(d, 2), n >= 1, reps >= 1, seed >= 0)"
             )
 
     @property
@@ -163,14 +166,14 @@ def run_replications(
     scn: SimScenario,
     score_config: ScoreConfig | None = None,
     threads: int = 1,
-    on_record: Callable[[MetricsRecord], None] | None = None,
 ) -> list[MetricsRecord]:
-    """Run every replication of a scenario and collect metric records.
+    """Run every replication of a scenario and return its metric records.
 
     Replication r draws from a substream keyed by (seed, r), so results are
-    identical regardless of ``threads``; records are delivered in
-    replication order.  A failing replication yields a record with NaN
-    metrics and the error message, and the run continues.
+    identical regardless of ``threads``; the list is in replication order.
+    A failing replication yields a record with NaN metrics and the error
+    message, and the run continues, so the list always has ``scn.reps``
+    records.
     """
     score_config = score_config or ScoreConfig()
     tm = generate_true_model(scn, np.random.default_rng([scn.seed, 0]))
@@ -189,13 +192,8 @@ def run_replications(
                 error=f"{type(exc).__name__}: {exc}",
             )
 
-    records: list[MetricsRecord] = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for rec in pool.map(one, range(scn.reps)):
-            records.append(rec)
-            if on_record is not None:
-                on_record(rec)
-    return records
+        return list(pool.map(one, range(scn.reps)))
 
 
 def _run_one(

@@ -1,5 +1,7 @@
 """CLI tests: exit codes, file outputs, determinism across runs and threads."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,15 @@ class TestScore:
         code = main(["score", "--data", str(data_csv), "--model", str(model_path),
                      "--out", str(tmp_path / "s.csv"), "--m", "0"])
         assert code == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_grad_tol(self, tmp_path, data_csv, tol):
+        model_path = self._fit(tmp_path, data_csv)
+        out = tmp_path / "s.csv"
+        code = main(["score", "--data", str(data_csv), "--model", str(model_path),
+                     "--out", str(out), "--grad-tol", tol])
+        assert code == 2
+        assert not out.exists()
 
 
 def _degenerate_case(case):
@@ -180,7 +191,7 @@ class TestSimulate:
         # The full-scale grid takes hours; capture the scenario list instead.
         seen = []
 
-        def stub(scn, score_config=None, threads=1, on_record=None):
+        def stub(scn, score_config=None, threads=1):
             seen.append(scn)
             return []
 
@@ -193,12 +204,122 @@ class TestSimulate:
         assert {s.p for s in seen} == {50, 80, 100}
         assert {s.n for s in seen} == {4000, 6000, 8000, 10000, 12000, 14000}
 
+    def test_default_grid_is_desk(self, tmp_path, monkeypatch):
+        seen = []
+
+        def stub(scn, score_config=None, threads=1):
+            seen.append(scn)
+            return []
+
+        import binfactor.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "run_replications", stub)
+        args = ["simulate", "--reps", "1", "--seed", "1", "--out", str(tmp_path / "m.csv")]
+        assert main(args + ["--grid", "desk"]) == 0
+        desk = list(seen)
+        seen.clear()
+        assert main(args) == 0
+        assert seen == desk
+        assert [(s.p, s.n) for s in desk] == [
+            (20, 1000), (20, 2000), (20, 4000), (50, 1000), (50, 2000), (50, 4000),
+        ]
+
+    @pytest.mark.parametrize("flags", [
+        ["--seed", "-1"],
+        ["--p", "1", "--d", "1"],
+        ["--grad-tol", "nan"],
+        ["--grad-tol", "inf"],
+    ])
+    def test_invalid_request_rejected_before_running(self, tmp_path, capsys, flags):
+        out = tmp_path / "m.csv"
+        code = main(["simulate", "--p", "12", "--n", "300", "--reps", "1",
+                     "--out", str(out), *flags])
+        assert code == 2
+        assert "running" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_replication_is_written(self, tmp_path, capsys, monkeypatch):
+        import binfactor.simulate as simulate_mod
+
+        real = simulate_mod.estimate_scores
+        calls = []
+
+        def flaky(y, model, cfg):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("boom")
+            return real(y, model, cfg)
+
+        monkeypatch.setattr(simulate_mod, "estimate_scores", flaky)
+        out = tmp_path / "metrics.csv"
+        code = main(["simulate", "--p", "12", "--n", "300", "--d", "2", "--reps", "3",
+                     "--seed", "7", "--threads", "1", "--out", str(out)])
+        assert code == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        metrics = [[float(r[k]) for k in ("max_err", "subspace_d", "med_err", "tau_err")]
+                   for r in rows]
+        assert [r["rep"] for r in rows] == ["0", "1", "2"]
+        assert rows[1]["error"] == "RuntimeError: boom"
+        assert np.isnan(metrics[1]).all()
+        assert np.isfinite([metrics[0], metrics[2]]).all()
+        assert [r["error"] for r in (rows[0], rows[2])] == ["", ""]
+        assert "(1 failed replications)" in capsys.readouterr().out
+
     def test_timings_flag_adds_columns(self, tmp_path):
         out = tmp_path / "metrics.csv"
         code = main(["simulate", "--p", "12", "--n", "200", "--d", "1",
                      "--reps", "1", "--seed", "2", "--out", str(out), "--timings"])
         assert code == 0
         assert "t_tetrachoric" in out.read_text().splitlines()[0]
+
+
+class TestOutDirectory:
+    """A missing --out directory is reported before the command does any work."""
+
+    def _refuse(self, monkeypatch, name):
+        import binfactor.cli as cli_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{name} must not run")
+
+        monkeypatch.setattr(cli_mod, name, refuse)
+
+    def _check(self, capsys, argv, out):
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and str(out) in err
+
+    def test_fit(self, tmp_path, data_csv, capsys, monkeypatch):
+        self._refuse(monkeypatch, "fit_model")
+        self._check(capsys, ["fit", "--data", str(data_csv), "--d", "2"],
+                    tmp_path / "nodir" / "m.json")
+
+    def test_score(self, tmp_path, data_csv, capsys, monkeypatch):
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--data", str(data_csv), "--d", "2", "--out", str(model_path)]) == 0
+        self._refuse(monkeypatch, "estimate_scores")
+        self._check(capsys, ["score", "--data", str(data_csv), "--model", str(model_path)],
+                    tmp_path / "nodir" / "s.csv")
+
+    def test_simulate(self, tmp_path, capsys, monkeypatch):
+        self._refuse(monkeypatch, "run_replications")
+        self._check(capsys, ["simulate", "--p", "12", "--n", "300", "--reps", "1"],
+                    tmp_path / "nodir" / "m.csv")
+
+
+class TestRuntimeFailure:
+    def test_exits_one_with_message(self, tmp_path, data_csv, capsys, monkeypatch):
+        import binfactor.cli as cli_mod
+
+        def broken(y, d):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli_mod, "fit_model", broken)
+        code = main(["fit", "--data", str(data_csv), "--d", "2",
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert "runtime failure: RuntimeError: boom" in capsys.readouterr().err
 
 
 class TestSelfcheck:

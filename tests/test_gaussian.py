@@ -319,7 +319,7 @@ class TestTetrachoricInvert:
 
     def test_residual_at_solution(self):
         res = tetrachoric_invert(0.7, -0.4, 0.2)
-        assert abs(res.ell_at_rho - 0.2) <= 1e-9
+        assert abs(bvn_upper_tail(0.7, -0.4, res.rho_hat) - 0.2) <= 1e-9
         assert res.iterations >= 1
         assert not res.clamped
 

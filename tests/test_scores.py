@@ -79,6 +79,16 @@ def likelihood_path(y, model):
     return np.stack([evaluate_rows(z, model, tau, y.data)[0] for z in states])
 
 
+class TestScoreConfig:
+    @pytest.mark.parametrize("kw", [
+        dict(m_percent=0.0), dict(m_percent=120.0), dict(max_iter=0),
+        dict(grad_tol=0.0), dict(grad_tol=-1e-8), dict(grad_tol=math.nan), dict(grad_tol=math.inf),
+    ])
+    def test_rejects(self, kw):
+        with pytest.raises(ValueError):
+            ScoreConfig(**kw)
+
+
 class TestSelectTauThreshold:
     def test_ninety_percent_of_ten(self):
         tau_sd = np.arange(0.1, 1.01, 0.1)

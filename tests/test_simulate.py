@@ -34,7 +34,9 @@ class TestScenario:
     def test_label(self):
         assert scenario().label == "d2_p12_n400"
 
-    @pytest.mark.parametrize("kw", [dict(d=0), dict(p=1, d=2), dict(n=0), dict(reps=0)])
+    @pytest.mark.parametrize("kw", [
+        dict(d=0), dict(p=1, d=2), dict(n=0), dict(reps=0), dict(p=1, d=1), dict(seed=-1),
+    ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             scenario(**kw)
@@ -226,11 +228,9 @@ class TestRunReplications:
                 b.tau_err,
             )
 
-    def test_records_in_order_with_callback(self):
-        seen = []
-        recs = run_replications(scenario(reps=3), threads=2, on_record=seen.append)
+    def test_records_in_replication_order(self):
+        recs = run_replications(scenario(reps=3), threads=2)
         assert [r.rep for r in recs] == [0, 1, 2]
-        assert seen == recs
 
     def test_metrics_finite_and_positive(self):
         recs = run_replications(scenario())
