@@ -42,13 +42,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         out = getattr(args, "out", None)
-        if out and not os.path.isdir(os.path.dirname(out) or "."):
-            raise _UsageError(f"--out directory does not exist: {out}")
+        if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+            raise _UsageError(f"--out must name a file in an existing directory: {out}")
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (model_io.DataFormatError, model_io.ModelFormatError, FileNotFoundError) as exc:
+    except (model_io.DataFormatError, model_io.ModelFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - CLI boundary
@@ -98,8 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--grad-tol", type=float, default=1e-8)
     sim.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                      help="replication-level parallelism (results are identical)")
-    sim.add_argument("--no-row-normalize", action="store_true",
-                     help="use the raw generator recipe without unit-variance rescaling")
     sim.add_argument("--timings", action="store_true",
                      help="include wall-clock stage times in the CSV (not byte-reproducible)")
     sim.set_defaults(func=_cmd_simulate)
@@ -160,10 +158,7 @@ def _cmd_simulate(args) -> int:
     ps, ns = _GRIDS[args.grid] if args.grid else (args.p, args.n)
     try:
         scenarios = [
-            SimScenario(
-                d=args.d, p=p, n=n, reps=args.reps, seed=args.seed,
-                normalize_rows=not args.no_row_normalize,
-            )
+            SimScenario(d=args.d, p=p, n=n, reps=args.reps, seed=args.seed)
             for p in ps
             for n in ns
         ]

@@ -25,18 +25,20 @@ arcsine layout of Genz 2004, Stat. Comput. 14:251).  For ``rho >= 0`` the
 anchor is ``rho = 0`` (an exact product of univariate tails); for
 ``rho < 0`` it is ``rho = -1`` (closed form), which keeps the result a sum
 of non-negative terms and preserves relative accuracy when ``ell`` sits
-close to its lower boundary value.  Thresholds are put in the canonical
-order c1 <= c2 first, so every result is exactly symmetric in (c1, c2).
+close to its lower boundary value.  Every public function checks its
+thresholds and orders them c1 <= c2 in one place, ``_flat_pairs``, so
+every result is bitwise symmetric in (c1, c2).
 
 All bivariate work runs in one batched kernel: ``bvn_upper_tail_batch``
 evaluates ``ell`` and ``tetrachoric_invert_batch`` inverts it for arrays of
 pairs, and the scalar ``bvn_upper_tail`` and ``tetrachoric_invert`` are
-1-element calls to them.  Pairs that need the same number of panels are
-stacked into one dense array.  Both batch functions work through their
-pairs in chunks of ``_CHUNK_PAIRS``, so their working memory is bounded
-whatever the number of pairs.  Each pair is computed from its own values
-only, so its result is bitwise the same alone, in any batch, in any order
-and on either side of a chunk boundary.
+1-element calls to them.  The inversion has one edge, ``1 - RHO_CLAMP``;
+a root beyond it is returned clamped there.  Pairs that need the same
+number of panels are stacked into one dense array.  Both batch functions
+work through their pairs in chunks of ``_CHUNK_PAIRS``, so their working
+memory is bounded whatever the number of pairs.  Each pair is computed
+from its own values only, so its result is bitwise the same alone, in any
+batch, in any order and on either side of a chunk boundary.
 """
 
 from __future__ import annotations
@@ -50,13 +52,9 @@ from scipy.special import ndtr, ndtri
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 HALF_PI = 0.5 * math.pi
 
-# Offset from +-1 returned when an inversion target falls on or outside the
-# attainable probability bracket.
+# Offset from +-1 of a clamped correlation: the one edge of the root
+# finder, which never evaluates ell closer to +-1 than this.
 RHO_CLAMP = 1e-6
-
-# The root finder never evaluates ell closer to +-1 than this; a root that
-# lies closer is reported as clamped.
-_RHO_EDGE = 1e-12
 
 # The root finder stops once both ends of its bracket are evaluated points
 # at most twice this far apart, and never steps by less than this.
@@ -128,11 +126,10 @@ def bvn_boundary_value(c1: float, c2: float, sign: int) -> float:
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    _check_thresholds(c1, c2)
-    lo, hi = min(c1, c2), max(c1, c2)
+    lo, hi, _, _ = _flat_pairs(c1, c2, 0.0)
     if sign == 1:
-        return float(ndtr(-hi))
-    return max(0.0, float(_lower_difference(lo, hi)))
+        return ndtr(-hi).item()
+    return max(0.0, _lower_difference(lo, hi).item())
 
 
 def bvn_upper_tail(c1: float, c2: float, rho: float) -> float:
@@ -161,12 +158,13 @@ def bvn_upper_tail_drho(c1: float, c2: float, rho: float) -> float:
     """Derivative of the upper tail probability in the correlation.
 
     Closed form: pdf((c1 - rho*c2)/sqrt(1-rho^2)) * pdf(c2) / sqrt(1-rho^2).
-    Strictly positive on |rho| < 1.
+    Strictly positive on |rho| < 1; bitwise the derivative the root
+    finder uses.
     """
-    _check_thresholds(c1, c2)
-    if not -1.0 < rho < 1.0:
-        raise ValueError(f"rho must satisfy |rho| < 1, got {rho!r}")
-    return float(_drho(c1, c2, rho))
+    lo, hi, rho, _ = _flat_pairs(c1, c2, rho)
+    if not abs(rho[0]) < 1.0:
+        raise ValueError(f"rho must satisfy |rho| < 1, got {float(rho[0])!r}")
+    return _drho(lo, hi, rho).item()
 
 
 @dataclass(frozen=True)
@@ -177,9 +175,9 @@ class InversionResult:
     (0 when the target was clamped before any).  ``clamped`` is set when
     the target probability fell on or outside the attainable open
     interval between the two boundary values, to within the margins that
-    ``tetrachoric_invert_batch`` describes, or when the root lies closer
-    to +-1 than ``1 - RHO_CLAMP``; the returned correlation is then
-    ``+-(1 - RHO_CLAMP)``, so no unclamped root lies beyond a clamped one.
+    ``tetrachoric_invert_batch`` describes, or when the root lies beyond
+    the solver edge ``+-(1 - RHO_CLAMP)``; the returned correlation is
+    then that edge, so no unclamped root lies beyond a clamped one.
     """
 
     rho_hat: float
@@ -223,11 +221,10 @@ def tetrachoric_invert_batch(c1, c2, p_target) -> tuple[np.ndarray, np.ndarray, 
     converged iterate is confirmed by a sign change on its other side.
     It stops when ell hits the target to within one ulp of the target, or
     when both ends of the bracket are evaluated points at most 2e-12
-    apart, and returns the end nearer the target.  No iterate lies within
-    1e-12 of +-1: one that would is moved to that edge, and if ell there
-    shows the root beyond it, the target is clamped as well.  So is any
-    root with |rho| > 1 - RHO_CLAMP, so that the result is monotone in
-    the target across the clamp.
+    apart, and returns the end nearer the target.  No iterate lies beyond
+    +-(1 - RHO_CLAMP): one that would is moved to that edge, and if ell
+    there shows the root beyond it, the target is clamped there as well,
+    so the result is monotone in the target across the clamp.
     """
     lo, hi, p, shape = _flat_pairs(c1, c2, p_target)
     bad = ~((p >= 0.0) & (p <= 1.0))
@@ -244,19 +241,15 @@ def tetrachoric_invert_batch(c1, c2, p_target) -> tuple[np.ndarray, np.ndarray, 
 def _flat_pairs(c1, c2, values):
     """Broadcast and check a batch; return 1-D (min c, max c, values) and its shape."""
     c1, c2, values = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (c1, c2, values)))
-    _check_thresholds(c1, c2)
+    bad = ~(np.isfinite(c1) & np.isfinite(c2))
+    if bad.any():
+        pair = (float(c1[bad][0]), float(c2[bad][0]))
+        raise ValueError(f"thresholds must be finite, got {pair!r}")
     return np.minimum(c1, c2).ravel(), np.maximum(c1, c2).ravel(), values.ravel(), values.shape
 
 
 def _chunks(n: int):
     return (slice(i, min(i + _CHUNK_PAIRS, n)) for i in range(0, n, _CHUNK_PAIRS))
-
-
-def _check_thresholds(c1, c2) -> None:
-    bad = ~(np.isfinite(c1) & np.isfinite(c2))
-    if np.any(bad):
-        pair = (float(np.asarray(c1)[bad][0]), float(np.asarray(c2)[bad][0]))
-        raise ValueError(f"thresholds must be finite, got {pair!r}")
 
 
 def _lower_difference(lo, hi):
@@ -370,14 +363,13 @@ def _invert(lo, hi, p):
     to_minus = p <= lo_edge
     to_plus = ~to_minus & (p >= ndtr(-hi) * (1.0 - _BRACKET_MARGIN))
     clamped = to_minus | to_plus
-    rho[to_minus], rho[to_plus] = -(1.0 - RHO_CLAMP), 1.0 - RHO_CLAMP
+    edge = 1.0 - RHO_CLAMP
+    rho[to_minus], rho[to_plus] = -edge, edge
 
-    edge = 1.0 - _RHO_EDGE
     idx = np.flatnonzero(~clamped)
     lo, hi, p = lo[idx], hi[idx], p[idx]
-    # The bracket starts at the boundary values, below and above any
-    # unclamped target; +-1 are never evaluated, so a bracket end that is
-    # still +-1 cannot count towards convergence.
+    # The bracket starts at the boundary values at +-1, which are never
+    # evaluated and lie too far from every iterate to close it.
     a, b = np.full(idx.size, -1.0), np.full(idx.size, 1.0)
     fa, fb = np.full(idx.size, -np.inf), np.full(idx.size, np.inf)
     x = np.clip(_bonett_price(lo, hi, p), -edge, edge)
@@ -390,11 +382,12 @@ def _invert(lo, hi, p):
         a, fa = np.where(below, x, a), np.where(below, f, fa)
         b, fb = np.where(below, b, x), np.where(below, fb, f)
 
-        # A root beyond the solver edge stops at the edge, to be clamped
-        # below like a target on its boundary value.
+        # A root beyond the solver edge stops there, clamped like a target
+        # on its boundary value, so the estimate is monotone in the target.
         pinned = ((x == -edge) & (f >= 0.0)) | ((x == edge) & (f <= 0.0))
+        clamped[idx[pinned]] = True
         hit = ~pinned & (np.abs(f) <= np.spacing(p))
-        closed = ~pinned & ~hit & (b - a <= 2.0 * _RHO_TOL) & (a > -1.0) & (b < 1.0)
+        closed = ~pinned & ~hit & (b - a <= 2.0 * _RHO_TOL)
         done = pinned | hit | closed | (it == _MAX_ITER)
         result = np.where(closed, np.where(-fa <= fb, a, b), x)
         rho[idx[done]] = result[done]
@@ -416,9 +409,4 @@ def _invert(lo, hi, p):
         x_new = np.clip(x_new, -edge, edge)
         step_before, step = step, x_new - x
         x = x_new
-    # A root at the solver edge, or any other closer to +-1 than the clamp
-    # value, is clamped, so that the estimate is monotone in the target.
-    beyond = np.abs(rho) > 1.0 - RHO_CLAMP
-    rho[beyond] = np.copysign(1.0 - RHO_CLAMP, rho[beyond])
-    clamped |= beyond
     return rho, iterations, clamped

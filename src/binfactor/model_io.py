@@ -39,13 +39,16 @@ class ModelFormatError(ValueError):
 def read_binary_matrix(path) -> BinaryMatrix:
     """Parse a CSV of 0/1 entries; a non-numeric first row is a header.
 
-    Raises ``DataFormatError`` naming the (1-based) row and column of the
-    first offending cell, or the row where the width changes.  Rows count
-    from the first non-blank line, and blank lines are skipped.  Cells may
-    be quoted or padded with whitespace.
+    Raises ``DataFormatError`` for a file that cannot be opened or decoded,
+    and names the (1-based) row and column of the first offending cell or
+    the row where the width changes.  Rows count from the first non-blank
+    line; blank lines are skipped, and cells may be quoted or space-padded.
     """
-    with open(path, newline="") as fh:
-        text = fh.read()
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"{path}: cannot read data file: {exc}") from exc
     parsed = _parse_plain(text)
     if parsed is None:
         parsed = _parse_cells(path, text)

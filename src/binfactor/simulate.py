@@ -46,7 +46,6 @@ class SimScenario:
     n: int
     reps: int
     seed: int
-    normalize_rows: bool = True
 
     def __post_init__(self):
         if self.d < 1 or self.p < max(self.d, 2) or self.n < 1 or self.reps < 1 or self.seed < 0:
@@ -88,18 +87,16 @@ def generate_true_model(scn: SimScenario, rng: np.random.Generator) -> TrueModel
     """Draw loadings, noise variances and thresholds for a scenario.
 
     Loadings are uniform on (-1, 1), noise variances uniform on (0.2, 0.8),
-    thresholds uniform on (-1, 1).  With ``normalize_rows`` each loading
-    row is rescaled to squared norm 1 - tau_j^2, so the latent continuous
-    variables have exactly unit variance as the probit link requires; the
-    flag off reproduces the raw recipe.
+    thresholds uniform on (-1, 1).  Each loading row is then rescaled to
+    squared norm 1 - tau_j^2, so the latent continuous variables have
+    exactly unit variance as the probit link requires.
     """
     beta_rng, tau_rng, c_rng = rng.spawn(3)
     b = beta_rng.uniform(-1.0, 1.0, size=(scn.p, scn.d))
     tau2 = tau_rng.uniform(0.2, 0.8, size=scn.p)
     c = c_rng.uniform(-1.0, 1.0, size=scn.p)
-    if scn.normalize_rows:
-        norms = np.linalg.norm(b, axis=1)
-        b = b * (np.sqrt(1.0 - tau2) / norms)[:, None]
+    norms = np.linalg.norm(b, axis=1)
+    b = b * (np.sqrt(1.0 - tau2) / norms)[:, None]
     return TrueModel(b=b, tau2=tau2, c=c)
 
 

@@ -49,6 +49,18 @@ class TestFit:
                      "--out", str(tmp_path / "m.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["directory", "invalid utf-8", "missing"])
+    def test_unreadable_data(self, tmp_path, capsys, kind):
+        data = tmp_path / "data.csv"
+        if kind == "directory":
+            data.mkdir()
+        elif kind == "invalid utf-8":
+            data.write_bytes(b"0,1\n1,\xff\n")
+        code = main(["fit", "--data", str(data), "--d", "1",
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert str(data) in capsys.readouterr().err
+
 
 class TestScore:
     def _fit(self, tmp_path, data_csv):
@@ -238,6 +250,17 @@ class TestSimulate:
         assert "running" not in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--p", "a"], "expected comma-separated integers: 'a'"),
+        (["--threads", "0"], "--threads must be at least 1"),
+    ])
+    def test_bad_list_or_threads_rejected(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "m.csv"
+        code = main(["simulate", "--n", "300", "--reps", "1", "--out", str(out), *flags])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_failed_replication_is_written(self, tmp_path, capsys, monkeypatch):
         import binfactor.simulate as simulate_mod
 
@@ -275,7 +298,8 @@ class TestSimulate:
 
 
 class TestOutDirectory:
-    """A missing --out directory is reported before the command does any work."""
+    """An --out that is a directory or lies in a missing one is reported
+    before the command does any work."""
 
     def _refuse(self, monkeypatch, name):
         import binfactor.cli as cli_mod
@@ -306,6 +330,22 @@ class TestOutDirectory:
         self._refuse(monkeypatch, "run_replications")
         self._check(capsys, ["simulate", "--p", "12", "--n", "300", "--reps", "1"],
                     tmp_path / "nodir" / "m.csv")
+
+    @pytest.mark.parametrize("command", ["fit", "score", "simulate"])
+    def test_out_is_a_directory(self, tmp_path, data_csv, capsys, monkeypatch, command):
+        argv = {
+            "fit": ["fit", "--data", str(data_csv), "--d", "2"],
+            "score": ["score", "--data", str(data_csv), "--model", str(tmp_path / "model.json")],
+            "simulate": ["simulate", "--p", "12", "--n", "300", "--reps", "1"],
+        }[command]
+        if command == "score":
+            assert main(["fit", "--data", str(data_csv), "--d", "2",
+                         "--out", str(tmp_path / "model.json")]) == 0
+        for name in ("fit_model", "estimate_scores", "run_replications"):
+            self._refuse(monkeypatch, name)
+        out = tmp_path / "out"
+        out.mkdir()
+        self._check(capsys, argv, out)
 
 
 class TestRuntimeFailure:

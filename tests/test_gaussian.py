@@ -17,6 +17,7 @@ from scipy import integrate
 from binfactor.gaussian import (
     _CHUNK_PAIRS,
     RHO_CLAMP,
+    _drho,
     bvn_boundary_value,
     bvn_upper_tail,
     bvn_upper_tail_batch,
@@ -231,6 +232,22 @@ class TestBvnUpperTailDrho:
         with pytest.raises(ValueError):
             bvn_upper_tail_drho(0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("args", [(0.0, 0.0, -1.0), (0.0, 0.0, 1.5), (0.0, 0.0, math.nan),
+                                      (math.inf, 0.0, 0.3), (0.0, math.nan, 0.3)])
+    def test_rejects_rho_and_thresholds(self, args):
+        with pytest.raises(ValueError):
+            bvn_upper_tail_drho(*args)
+
+    def test_bitwise_symmetric_and_the_solver_derivative(self):
+        rng = np.random.default_rng(12)
+        c1, c2 = rng.normal(size=(2, 2000))
+        rho = rng.uniform(-0.999, 0.999, 2000)
+        solver = _drho(np.minimum(c1, c2), np.maximum(c1, c2), rho)
+        for k in range(2000):
+            forward = bvn_upper_tail_drho(c1[k], c2[k], rho[k])
+            assert forward == bvn_upper_tail_drho(c2[k], c1[k], rho[k])
+            assert forward == solver[k]
+
 
 class TestBvnBoundaryValue:
     def test_plus_one_origin(self):
@@ -261,6 +278,12 @@ class TestBvnBoundaryValue:
         for c1, c2 in c:
             for sign in (1, -1):
                 assert bvn_boundary_value(c1, c2, sign) == bvn_boundary_value(c2, c1, sign)
+
+    @pytest.mark.parametrize("c1, c2", [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 0.0)])
+    def test_nonfinite_threshold(self, c1, c2):
+        for sign in (1, -1):
+            with pytest.raises(ValueError, match="finite"):
+                bvn_boundary_value(c1, c2, sign)
 
 
 class TestTetrachoricInvert:

@@ -84,6 +84,12 @@ class TestReadBinaryMatrix:
         y = read_binary_matrix(f)
         np.testing.assert_array_equal(y.data, [[0, 1], [1, 0]])
 
+    def test_non_ascii_cell_located(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_bytes("a,b\n0,\u00e9\n".encode("utf-8"))
+        with pytest.raises(DataFormatError, match=r"cell \(2, 2\) is '\u00e9'"):
+            read_binary_matrix(f)
+
 
 def read_by_cell(path):
     """Reference reader: the csv module and one test per cell.
@@ -216,6 +222,15 @@ class TestModelRoundTrip:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ModelFormatError):
             read_model(tmp_path / "nope.json")
+
+    def test_missing_field_rejected(self, tmp_path):
+        path = tmp_path / "m.json"
+        write_model(make_model(), path)
+        doc = json.loads(path.read_text())
+        del doc["c_hat"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="malformed"):
+            read_model(path)
 
     @pytest.mark.parametrize(
         "changes",
@@ -357,3 +372,10 @@ class TestAtomicity:
         with pytest.raises(OSError):
             write_metrics([], tmp_path / "missing" / "m.csv")
         assert not (tmp_path / "missing").exists()
+
+    def test_temporary_file_removed_when_rename_fails(self, tmp_path):
+        target = tmp_path / "model.json"
+        target.mkdir()
+        with pytest.raises(OSError):
+            write_model(make_model(), target)
+        assert [entry.name for entry in tmp_path.iterdir()] == ["model.json"]

@@ -52,13 +52,6 @@ class TestGenerateTrueModel:
         assert np.all((tm.tau2 > 0.2) & (tm.tau2 < 0.8))
         assert np.all((tm.c > -1.0) & (tm.c < 1.0))
 
-    def test_raw_recipe_keeps_uniform_loadings(self):
-        tm = generate_true_model(
-            scenario(p=200, normalize_rows=False), np.random.default_rng(3)
-        )
-        assert np.all((tm.b > -1.0) & (tm.b < 1.0))
-        assert np.max(np.abs(tm.b)) > 0.9  # untouched uniform draws
-
     def test_deterministic_given_seed(self):
         a = generate_true_model(scenario(), np.random.default_rng([7, 0]))
         b = generate_true_model(scenario(), np.random.default_rng([7, 0]))
