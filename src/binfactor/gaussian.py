@@ -21,13 +21,13 @@ integrand becomes the bounded, smooth function
     h(theta) = pdf((c1 - c2*sin(theta)) / cos(theta)) * pdf(c2)
 
 and composite Gauss-Legendre panels resolve it to machine precision (the
-arcsine layout of Genz 2004, Stat. Comput. 14:251).  For ``rho >= 0`` the
-anchor is ``rho = 0`` (an exact product of univariate tails); for
-``rho < 0`` it is ``rho = -1`` (closed form), which keeps the result a sum
-of non-negative terms and preserves relative accuracy when ``ell`` sits
-close to its lower boundary value.  Every public function checks its
-thresholds and orders them c1 <= c2 in one place, ``_flat_pairs``, so
-every result is bitwise symmetric in (c1, c2).
+arcsine layout of Genz 2004, Stat. Comput. 14:251) from the exact anchor
+ell(rho = 0) = Phi(-c1) Phi(-c2).  For ``rho < 0`` the integrand is
+reflected, h(-t; c1, c2) = h(t; c1, -c2) (Drezner and Wesolowsky 1990);
+a value at or below ``_TAIL_FRACTION`` (0.25) of the anchor is recomputed
+from the closed-form ``rho = -1`` anchor, a sum of non-negative terms
+that keeps relative accuracy in the tail.  ``_flat_pairs`` checks and
+orders c1 <= c2 for every public function, so results are bitwise symmetric.
 
 All bivariate work runs in one batched kernel: ``bvn_upper_tail_batch``
 evaluates ``ell`` and ``tetrachoric_invert_batch`` inverts it for arrays of
@@ -76,6 +76,11 @@ _BRACKET_MARGIN = 1e-12
 # more than 1e-12 of the boundary.  The lower clamp edge adds this many
 # ulps of the larger marginal to the unclipped boundary.
 _MARGINAL_ULPS = 4
+
+# A rho < 0 value from the rho = 0 anchor at or below this fraction of
+# the anchor is recomputed from rho = -1.  Above it the subtraction loses
+# at most two bits; a switch at 0.01 let the relative error reach 1e-13.
+_TAIL_FRACTION = 0.25
 
 # Pairs per pass of the batch functions.  A pass holds a few arrays of
 # (pairs x panels x 20) nodes; 1024 pairs keep that to a few megabytes.
@@ -208,7 +213,7 @@ def tetrachoric_invert_batch(c1, c2, p_target) -> tuple[np.ndarray, np.ndarray, 
     known no better than the marginals it is made of; when c1 + c2 lies
     clearly above 0 that boundary is exactly 0 and only p = 0 is on it.
     Neither margin is a fixed absolute width, so that a tiny target above
-    a zero boundary, which the rho < 0 branch of ``ell`` resolves to
+    a zero boundary, which the tail branch of ``ell`` resolves to
     relative accuracy, is inverted rather than clamped.
 
     Every other target has its root bracketed by the closed-form boundary
@@ -267,17 +272,22 @@ def _ell(lo, hi, rho):
     """ell for 1-D arrays with lo <= hi and |rho| < 1."""
     theta = np.arcsin(np.abs(rho))
     neg = rho < 0.0
-    # rho < 0 integrates upward from rho = -1.  Reflecting theta -> -theta
-    # maps the integrand onto h(theta; lo, -hi) over [theta, pi/2].  It
-    # decays like pdf((lo + hi) / cos(theta)) toward pi/2, and once that
-    # argument exceeds ~43 the density underflows to exactly zero, so the
-    # integral is cut there with no error at all.
+    # Every rho integrates from the rho = 0 anchor.  Since h(-t; lo, hi) =
+    # h(t; lo, -hi), rho < 0 subtracts the integral of h(t; lo, -hi) over
+    # [0, |theta|] from the anchor, on the same short panels as rho >= 0.
+    anchor = ndtr(-lo) * ndtr(-hi)
+    area = _panel_integrals(lo, np.where(neg, -hi, hi), np.zeros(rho.size), theta, HALF_PI - theta)
+    out = anchor + np.where(neg, -area, area)
+    tail = np.flatnonzero(neg & (out <= _TAIL_FRACTION * anchor))
+    lo, hi, theta = lo[tail], hi[tail], theta[tail]
+    # Tail cells integrate h(t; lo, -hi) over [|theta|, pi/2] up from the
+    # rho = -1 anchor, a sum of non-negative terms.  The integrand is exactly
+    # zero once (lo + hi) / cos(t) exceeds ~43, so the integral is cut there.
     cutoff = HALF_PI - np.minimum(0.1, np.abs(lo + hi) / 43.0)
-    start = np.where(neg, theta, 0.0)
-    end = np.where(neg, np.maximum(cutoff, theta), theta)
-    gap = HALF_PI - np.where(neg, cutoff, theta)
-    anchor = np.where(neg, np.maximum(0.0, _lower_difference(lo, hi)), ndtr(-lo) * ndtr(-hi))
-    return anchor + _panel_integrals(lo, np.where(neg, -hi, hi), start, end, gap)
+    out[tail] = np.maximum(0.0, _lower_difference(lo, hi)) + _panel_integrals(
+        lo, -hi, theta, np.maximum(cutoff, theta), HALF_PI - cutoff
+    )
+    return out
 
 
 def _panel_integrals(c1, c2, a, b, gap):

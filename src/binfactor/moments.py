@@ -15,6 +15,10 @@ import numpy as np
 
 from .gaussian import std_normal_quantile, tetrachoric_invert_batch
 
+# Rows per block of the joint counts: a float32 sum of at most 2**24 0/1
+# products is an exact integer.
+_BLOCK_ROWS = 2**24
+
 
 @dataclass(frozen=True)
 class BinaryMatrix:
@@ -109,9 +113,16 @@ def thresholds(p_hat: np.ndarray, n: int | None) -> MarginalSummary:
 
 
 def joint_frequency_matrix(y: BinaryMatrix) -> np.ndarray:
-    """All pairwise joint frequencies at once (diagonal holds marginals)."""
-    x = y.data.astype(np.float64)
-    return (x.T @ x) / y.n
+    """All pairwise joint frequencies at once (diagonal holds marginals).
+
+    Exact float32 counts of row blocks are summed in float64: the bits of a
+    float64 product, from a copy of Y half its size.
+    """
+    counts = np.zeros((y.p, y.p))
+    for start in range(0, y.n, _BLOCK_ROWS):
+        x = y.data[start : start + _BLOCK_ROWS].astype(np.float32)
+        counts += x.T @ x
+    return counts / y.n
 
 
 def estimate_tetrachoric(y: BinaryMatrix) -> tuple[MarginalSummary, TetrachoricMatrix]:

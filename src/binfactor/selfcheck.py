@@ -97,6 +97,19 @@ def _check_derivative_fd() -> float:
     return worst
 
 
+def _check_reflection_identity() -> float:
+    # ell(c1, c2; rho) + ell(c1, -c2; -rho) = Phi(-c1): one side of each pair
+    # has rho < 0, and the grid takes it both from the rho = 0 anchor and,
+    # at c1 = c2 = 3 and rho near -1, down the tail branch from rho = -1.
+    worst = 0.0
+    for c1 in (-2.2, 0.4, 3.0):
+        for c2 in (-1.3, 0.9, 3.0):
+            for rho in np.linspace(-0.999, 0.999, 9):
+                total = bvn_upper_tail(c1, c2, rho) + bvn_upper_tail(c1, -c2, -rho)
+                worst = max(worst, abs(total - float(std_normal_cdf(-c1))))
+    return worst
+
+
 def _check_boundary_consistency() -> float:
     # Coincident thresholds approach their limit at rate sqrt(1 - rho^2),
     # so the probe sits at +-(1 - 1e-12) where every case has converged.
@@ -145,6 +158,7 @@ _CHECKS = [
     ("quadrant closed form", _check_quadrant_closed_form, 1e-9),
     ("independence product", _check_independence_product, 1e-14),
     ("correlation derivative vs finite difference", _check_derivative_fd, 1e-5),
+    ("reflection identity", _check_reflection_identity, 1e-15),
     ("boundary consistency", _check_boundary_consistency, 1e-6),
     ("inversion round trip", _check_inversion_round_trip, 1e-8),
     ("monotone in correlation", _check_monotone_in_rho, 0.0),

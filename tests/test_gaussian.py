@@ -6,6 +6,7 @@ quadrature of the defining double integral) and frozen here.
 """
 
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from binfactor import gaussian
 from binfactor.gaussian import (
     _CHUNK_PAIRS,
     RHO_CLAMP,
@@ -31,6 +33,8 @@ from binfactor.gaussian import (
 from binfactor.moments import BinaryMatrix, estimate_tetrachoric, joint_frequency_matrix
 
 mp.mp.dps = 30
+
+ORACLE_TABLE = Path(__file__).with_name("data") / "bvn_negative_rho.txt"
 
 
 def ell_by_double_quadrature(c1, c2, rho):
@@ -453,3 +457,49 @@ class TestBatchedKernel:
     def test_batch_nonfinite_threshold(self):
         with pytest.raises(ValueError):
             tetrachoric_invert_batch([0.0, math.inf], 0.0, 0.3)
+
+
+class TestNegativeRhoTailRule:
+    """rho < 0 runs from the rho = 0 anchor unless the value falls to the tail."""
+
+    def test_against_mpmath(self):
+        # 1,000 seeded rho < 0 cells, half of them with c2 near -c1, and their
+        # 30-digit references; tests/data/make_bvn_negative_rho.py writes them.
+        rows = [line.split() for line in ORACLE_TABLE.read_text().splitlines()
+                if not line.startswith("#")]
+        c1, c2, rho, ref = (np.array([float(row[k]) for row in rows]) for k in range(4))
+        assert rho.size >= 1000 and np.all(rho < 0.0) and np.all(ref > 0.0)
+        value = bvn_upper_tail_batch(c1, c2, rho)
+        rel = np.abs(value - ref) / ref
+        tail = value <= 0.25 * std_normal_cdf(-c1) * std_normal_cdf(-c2)
+        assert tail.sum() >= 300 and (~tail).sum() >= 500
+        # From the rho = 0 anchor the error stays at rounding level.
+        assert rel[~tail].max() <= 1e-14
+        # Tail cells keep the rho = -1 branch's accuracy: 3e-14 down to
+        # 1e-20 and 1.1e-13 down to 1e-40.  Deeper still, its panels do not
+        # resolve the integrand's steep fall right after theta, and the
+        # error reaches 6e-5 at 7e-170.
+        assert rel[tail & (ref >= 1e-20)].max() <= 5e-14
+        assert rel[tail & (ref >= 1e-40)].max() <= 2e-13
+        assert rel.max() <= 1e-4
+
+    @pytest.mark.parametrize("c1, c2", [
+        (0.0, 0.0), (1.0, -0.5), (-1.5, 2.0), (2.5, 2.5), (-0.3, 0.31), (1.8, 0.2), (-2.9, 3.0),
+    ])
+    def test_branches_agree_either_side_of_the_switch(self, monkeypatch, c1, c2):
+        anchor = float(std_normal_cdf(-c1) * std_normal_cdf(-c2))
+        switch = 0.25 * anchor  # the documented fraction
+        assert bvn_boundary_value(c1, c2, -1) < switch
+        rho_switch = tetrachoric_invert(c1, c2, switch).rho_hat
+        rho = np.array([rho_switch - 1e-9, rho_switch + 1e-9])
+        value = bvn_upper_tail_batch(c1, c2, rho)
+        assert value[0] < switch < value[1]
+        # A fraction of 1 sends every rho < 0 cell to rho = -1; 0 keeps
+        # every cell with a positive value on the rho = 0 anchor.
+        monkeypatch.setattr(gaussian, "_TAIL_FRACTION", 1.0)
+        from_minus_one = bvn_upper_tail_batch(c1, c2, rho)
+        monkeypatch.setattr(gaussian, "_TAIL_FRACTION", 0.0)
+        from_zero = bvn_upper_tail_batch(c1, c2, rho)
+        # Below the switch the tail branch ran, above it the reflection.
+        assert value[0] == from_minus_one[0] and value[1] == from_zero[1]
+        np.testing.assert_allclose(from_zero, from_minus_one, rtol=1e-14, atol=0.0)

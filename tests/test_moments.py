@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from binfactor import moments
 from binfactor.gaussian import RHO_CLAMP, bvn_upper_tail, std_normal_cdf
 from binfactor.moments import (
     BinaryMatrix,
@@ -99,6 +100,16 @@ class TestPairwiseJointFrequency:
             for j2 in range(5):
                 both = y.data[:, j1] & y.data[:, j2]
                 assert joint[j1, j2] == pytest.approx(both.mean(dtype=np.float64))
+
+    @pytest.mark.parametrize("block_rows", [2**24, 64, 7])
+    def test_bitwise_the_float64_product(self, monkeypatch, block_rows):
+        # 7 and 64 rows put block boundaries inside the 300 rows, with a
+        # short last block for 7.
+        monkeypatch.setattr(moments, "_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(11)
+        data = (rng.random((300, 40)) < rng.uniform(0.02, 0.98, 40)).astype(np.uint8)
+        x = data.astype(np.float64)
+        np.testing.assert_array_equal(joint_frequency_matrix(BinaryMatrix(data)), (x.T @ x) / 300)
 
 
 class TestEstimateTetrachoric:
