@@ -25,8 +25,10 @@ arcsine layout of Genz 2004, Stat. Comput. 14:251) from the exact anchor
 ell(rho = 0) = Phi(-c1) Phi(-c2).  For ``rho < 0`` the integrand is
 reflected, h(-t; c1, c2) = h(t; c1, -c2) (Drezner and Wesolowsky 1990);
 a value at or below ``_TAIL_FRACTION`` (0.25) of the anchor is recomputed
-from the closed-form ``rho = -1`` anchor, a sum of non-negative terms
-that keeps relative accuracy in the tail.  ``_flat_pairs`` checks and
+from the closed-form ``rho = -1`` anchor, a sum of non-negative terms.
+Against mpmath its relative error is 1.1e-13 or better for ell >= 1e-40,
+1.0e-8 at ell = 8.3e-56 and 5.9e-5 at ell = 6.9e-170; joint frequencies
+from data (at least 1/n) never go that deep.  ``_flat_pairs`` checks and
 orders c1 <= c2 for every public function, so results are bitwise symmetric.
 
 All bivariate work runs in one batched kernel: ``bvn_upper_tail_batch``
@@ -213,8 +215,9 @@ def tetrachoric_invert_batch(c1, c2, p_target) -> tuple[np.ndarray, np.ndarray, 
     known no better than the marginals it is made of; when c1 + c2 lies
     clearly above 0 that boundary is exactly 0 and only p = 0 is on it.
     Neither margin is a fixed absolute width, so that a tiny target above
-    a zero boundary, which the tail branch of ``ell`` resolves to
-    relative accuracy, is inverted rather than clamped.
+    a zero boundary is inverted rather than clamped.  The tail branch of
+    ``ell`` resolves such targets to 1.1e-13 relative or better down to
+    1e-40, but only to 1.0e-8 at 8.3e-56 and 5.9e-5 at 6.9e-170.
 
     Every other target has its root bracketed by the closed-form boundary
     values at rho = -1 and +1.  A safeguarded Newton iteration (rtsafe,

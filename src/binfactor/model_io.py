@@ -137,8 +137,9 @@ def write_model(model: FactorModel, path) -> None:
 def read_model(path) -> FactorModel:
     """Load a model file written by ``write_model``; round trips bit-exactly.
 
-    Raises ``ModelFormatError`` unless 1 <= d <= p, the field lengths match,
-    every number is finite and every noise variance is non-negative.
+    Raises ``ModelFormatError`` unless d and p are integers with
+    1 <= d <= p, the field lengths match, every entry is a finite number
+    and every noise variance is non-negative.
     """
     try:
         with open(path) as fh:
@@ -156,17 +157,19 @@ def read_model(path) -> FactorModel:
             f"(this build reads version {MODEL_FORMAT_VERSION})"
         )
     try:
-        d, p = int(doc["d"]), int(doc["p"])
-        model = FactorModel(
-            d=d,
-            p=p,
-            c_hat=np.asarray(doc["c_hat"], dtype=float),
-            b_hat=np.asarray(doc["b_hat"], dtype=float).reshape(p, d),
-            tau2_hat=np.asarray(doc["tau2_hat"], dtype=float),
-            eigvals=np.asarray(doc["eigvals"], dtype=float),
-            meta=dict(doc.get("meta", {})),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        d, p = doc["d"], doc["p"]
+        if type(d) is not int or type(p) is not int:
+            raise TypeError(f"d and p must be integers, got d={d!r}, p={p!r}")
+        fields = {}
+        for name in ("c_hat", "b_hat", "tau2_hat", "eigvals"):
+            # JSON numbers only: bools, strings and nulls are not coerced.
+            values = np.asarray(doc[name], dtype=object)
+            if not all(type(v) in (int, float) for v in values.flat):
+                raise TypeError(f"{name} holds an entry that is not a number")
+            fields[name] = values.astype(float)
+        fields["b_hat"] = fields["b_hat"].reshape(p, d)
+        model = FactorModel(d=d, p=p, meta=dict(doc.get("meta", {})), **fields)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: malformed model file: {exc}") from exc
     if not 1 <= d <= p:
         raise ModelFormatError(f"{path}: need 1 <= d <= p, got d={d}, p={p}")

@@ -10,8 +10,10 @@ independent and optimized simultaneously.
 
 One pass per trial point and cell gives the log-likelihood, gradient and
 Fisher information together, in log space and with no probability floor,
-over blocks of 1024 rows.  The ascent keeps them for each accepted point,
-and retires a row whose step leaves it in place (a stalled row).
+over blocks of 1024 rows; each row is summed along its own contiguous
+components, so its bits do not depend on the block.  The ascent keeps them
+for each accepted point, and retires a row whose step leaves it in place (a
+stalled row).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .spectral import FactorModel
 
 _ALPHA_MIN = 1e-12  # smallest step-halving factor before a step is abandoned
 
-# Rows per kernel pass: its ~15 (components x rows) temporaries stay at a
+# Rows per kernel pass: its ~15 (rows x components) temporaries stay at a
 # few megabytes whatever n is.
 _BLOCK_ROWS = 1024
 _LOG_SPACE_MAX = 5.0  # |x| past which the kernel's tail values use erfcx
@@ -181,9 +183,8 @@ def reconstruct(model: FactorModel, scores: LatentScores) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Inclusion:
-    """Included components in noise units: ``bt[k]`` holds factor k's
-    loadings over the noise scales and ``ct`` the thresholds, as (m, 1)
-    columns."""
+    """Included components in noise units: ``bt`` (d x m) holds the
+    loadings over the noise scales and ``ct`` (m,) the thresholds."""
 
     mask: np.ndarray
     bt: np.ndarray
@@ -196,11 +197,11 @@ def _inclusion(model: FactorModel, tau: float) -> _Inclusion:
     # only pass the indicator when tau < 0, which the threshold rule never
     # produces for usable variances, so it is excluded outright.
     mask = (tau_sd > tau) & (tau_sd > 0.0)
-    scale = tau_sd[mask, None]
+    scale = tau_sd[mask]
     return _Inclusion(
         mask=mask,
-        bt=(model.b_hat[mask] / scale).T[:, :, None].copy(),
-        ct=model.c_hat[mask, None] / scale,
+        bt=(model.b_hat[mask] / scale[:, None]).T.copy(),
+        ct=model.c_hat[mask] / scale,
     )
 
 
@@ -218,29 +219,29 @@ def _evaluate(z, y_incl, rows, incl: _Inclusion, p: int):
     fisher = np.empty((n, d, d))
     for s in range(0, n, _BLOCK_ROWS):
         e = min(s + _BLOCK_ROWS, n)
-        zt = np.ascontiguousarray(z[s:e].T)
-        ll[s:e], g[s:e], fisher[s:e] = _kernel(zt, y_incl[rows[s:e]].T, incl)
+        ll[s:e], g[s:e], fisher[s:e] = _kernel(z[s:e], y_incl[rows[s:e]], incl)
     return ll / p, g / p, fisher / p
 
 
-def _kernel(zt, y, incl: _Inclusion):
-    """Unscaled sums over components for a block: points ``zt`` (d x rows),
-    data ``y`` (components x rows).
+def _kernel(z, y, incl: _Inclusion):
+    """Unscaled sums over components for a block: points ``z`` (rows x d),
+    data ``y`` (rows x components).
 
-    Cell (j, i) adds y log Phi(x) + (1 - y) log Phi(-x), x = bt_j . z_i - ct_j.
+    Cell (i, j) adds y log Phi(x) + (1 - y) log Phi(-x), x = bt_j . z_i - ct_j.
     With a = |x|, ``ndtr(-a)`` gives Phi(-a) to full relative precision
     (``log_ndtr`` agrees to a few ulps at twice the cost), and log Phi(+-a)
     and the Mills ratios phi(a) / Phi(+-a) follow in log space.  Past
     a = 5, log phi(a) - log Phi(-a) loses relative precision (1e-11 at
     a = 1000) and past 37.5 Phi(-a) underflows, so there erfcx(a / sqrt 2)
     gives both.  Everything stays exact and finite while a^2 does.  The
-    sums are written out, not left to BLAS, so that a row's bits do not
-    depend on its block.
+    product x is written out, not left to BLAS, and each row is summed
+    along its own contiguous components, so a row's bits do not depend on
+    its block.
     """
-    d = zt.shape[0]
-    x = incl.bt[0] * zt[0]
+    d = z.shape[1]
+    x = z[:, 0:1] * incl.bt[0]
     for k in range(1, d):
-        x += incl.bt[k] * zt[k]
+        x += z[:, k : k + 1] * incl.bt[k]
     x -= incl.ct
     neg = x < 0.0
     a = np.abs(x)
@@ -264,31 +265,16 @@ def _kernel(zt, y, incl: _Inclusion):
     # x >= 0, 1 - y where x < 0.
     w = np.abs(np.subtract(y, neg, dtype=np.float64))
     w_small = 1.0 - w
-    ll = _column_sums(w * log_large + w_small * log_small)
+    ll = (w * log_large + w_small * log_small).sum(axis=1)
     dx = (w * mills_large - w_small * mills_small) * (1.0 - 2.0 * neg)
     info = mills_small * mills_large
-    g = np.empty((zt.shape[1], d))
-    fisher = np.empty((zt.shape[1], d, d))
+    g = np.empty((len(z), d))
+    fisher = np.empty((len(z), d, d))
     for k in range(d):
-        g[:, k] = _column_sums(dx * incl.bt[k])
+        g[:, k] = (dx * incl.bt[k]).sum(axis=1)
         for l in range(k + 1):
-            fisher[:, k, l] = fisher[:, l, k] = _column_sums(info * (incl.bt[k] * incl.bt[l]))
+            fisher[:, k, l] = fisher[:, l, k] = (info * (incl.bt[k] * incl.bt[l])).sum(axis=1)
     return ll, g, fisher
-
-
-def _column_sums(v):
-    """Sums over the first axis, folded pairwise: this rounds less than a
-    running sum, and unlike ``v.sum(axis=0)`` it adds every column in the
-    same order, a single column included.  No terms sum to zeros."""
-    if len(v) == 0:
-        return np.zeros(v.shape[1:])
-    while len(v) > 1:
-        half = len(v) // 2
-        folded = v[:half] + v[half : 2 * half]
-        if len(v) % 2:
-            folded[-1] += v[-1]
-        v = folded
-    return v[0]
 
 
 def _solve_steps(fisher: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -243,9 +243,14 @@ class TestModelRoundTrip:
             {"d": 0, "b_hat": [[]] * 5, "eigvals": []},
             {"d": 6, "b_hat": [[0.1] * 6] * 5, "eigvals": [1.0] * 6},
             {"eigvals": [2.0, 1.0, 0.5]},
+            {"d": 2.5},
+            {"d": "2"},
+            {"p": 6.9, "c_hat": [0.1] * 6, "b_hat": [[0.1, 0.1]] * 6, "tau2_hat": [0.5] * 6},
+            {"c_hat": ["0.1", 0.0, 0.0, 0.0, 0.0]},
         ],
         ids=["nan c_hat", "inf b_hat", "nan tau2", "inf eigvals", "negative tau2",
-             "d=0", "d>p", "eigvals length"],
+             "d=0", "d>p", "eigvals length", "float d", "string d", "float p",
+             "string c_hat"],
     )
     def test_corrupt_fields_rejected(self, tmp_path, changes):
         path = tmp_path / "m.json"

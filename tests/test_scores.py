@@ -10,6 +10,7 @@ from binfactor.gaussian import std_normal_cdf
 from binfactor.moments import BinaryMatrix
 from binfactor.scores import (
     _BLOCK_ROWS,
+    _LOG_SPACE_MAX,
     _evaluate,
     _inclusion,
     _solve_steps,
@@ -371,6 +372,22 @@ class TestEstimateScores:
         b = estimate_scores(BinaryMatrix(y.data[perm]), model)
         np.testing.assert_array_equal(a.z_hat[perm], b.z_hat)
         np.testing.assert_array_equal(a.iterations[perm], b.iterations)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_row_scored_alone_matches_block(self, d):
+        # A block of one row sums that row's components as a full block
+        # does.  The farthest row ends with a cell past the erfcx switch.
+        y, model = self._simulated(d=d, seed=29)
+        block = estimate_scores(y, model)
+        incl = _inclusion(model, select_tau_threshold(model.tau2_hat, 90.0))
+        x_max = np.abs(block.z_hat @ incl.bt - incl.ct).max(axis=1)
+        far = int(np.argmax(x_max))
+        assert x_max[far] > _LOG_SPACE_MAX
+        for i in [0, 1, far, y.n - 1]:
+            alone = estimate_scores(BinaryMatrix(y.data[i : i + 1]), model)
+            np.testing.assert_array_equal(alone.z_hat[0], block.z_hat[i])
+            np.testing.assert_array_equal(alone.iterations[0], block.iterations[i])
+            np.testing.assert_array_equal(alone.grad_norms[0], block.grad_norms[i])
 
     def test_stalled_rows_retire(self):
         # Below the rounding of the likelihood most rows cannot meet the
