@@ -4,13 +4,15 @@ Each sample's latent position maximizes the probit log-likelihood over the
 fitted model, restricted to components whose noise standard deviation
 exceeds a threshold picked so that m% of components participate (small
 noise variances otherwise destabilize the objective).  The objective is
-globally concave, so a damped Newton ascent with the Fisher information as
-curvature, started from the origin, finds the maximizer; rows are
-independent and optimized simultaneously.
+globally concave, so a damped Newton ascent on its observed curvature,
+started from the origin, finds the maximizer; rows are independent and
+optimized simultaneously.  (The paper names Fisher scoring; probit is not
+a canonical link, so its Fisher information is not the observed curvature
+and Fisher scoring converges only linearly.  The maximizer is the same.)
 
 One pass per trial point and cell gives the log-likelihood, gradient and
-Fisher information together, in log space and with no probability floor,
-over blocks of 1024 rows; each row is summed along its own contiguous
+curvature together, in log space and with no probability floor, over
+blocks of 1024 rows; each row is summed along its own contiguous
 components, so its bits do not depend on the block.  The ascent keeps them
 for each accepted point, and retires a row whose step leaves it in place (a
 stalled row).
@@ -96,17 +98,18 @@ def estimate_scores(
 ) -> LatentScores:
     """Estimate the latent factors of every sample.
 
-    Damped Newton ascent with Fisher scoring: the step solves the Fisher
-    system and is halved until the likelihood does not decrease, so the
-    per-row likelihood path is non-decreasing.  A row stops once its
-    gradient norm falls below ``cfg.grad_tol`` or after ``cfg.max_iter``
-    steps.  A row whose step leaves it in place (halving found no better
+    Damped Newton ascent on the observed curvature -d^2 ll / dz^2: the
+    step solves that system and is halved until the likelihood does not
+    decrease, so the per-row likelihood path is non-decreasing.  A row
+    stops once its gradient norm falls below ``cfg.grad_tol`` or after
+    ``cfg.max_iter`` steps.  A row whose step leaves it in place (halving found no better
     point) stops too, since every later step would repeat it; it keeps
     ``converged=False``, its gradient norm and the steps it took.  Rows are
     independent; the result does not depend on their order.
 
-    Rows start at the origin, or at their rows of ``z0`` (n x d).  With no
-    component included every row converges at its start after 0 steps.
+    Rows start at the origin, or at their rows of ``z0`` (n x d, finite).
+    With no component included every row converges at its start after 0
+    steps.
     """
     cfg = cfg or ScoreConfig()
     if model.p != y.p:
@@ -121,14 +124,17 @@ def estimate_scores(
         z = np.array(z0, dtype=float)
         if z.shape != (n, d):
             raise ValueError(f"z0 must have shape {(n, d)}, got {z.shape}")
+        bad = ~np.isfinite(z).all(axis=1)
+        if bad.any():
+            raise ValueError(f"z0 must be finite; row {int(np.argmax(bad))} is {z[bad][0]}")
 
     y_incl = y.data[:, incl.mask]
     iters = np.zeros(n, dtype=int)
     gnorm = np.zeros(n)
     conv = np.zeros(n, dtype=bool)
     active = np.arange(n)
-    # The log-likelihood, gradient and information of each row's current point.
-    ll, g, fisher = _evaluate(z, y_incl, active, incl, model.p)
+    # The log-likelihood, gradient and curvature of each row's current point.
+    ll, g, curv = _evaluate(z, y_incl, active, incl, model.p)
 
     steps = 0
     while active.size:
@@ -144,7 +150,7 @@ def estimate_scores(
             break
         steps += 1
 
-        step = _solve_steps(fisher[active], g[active])
+        step = _solve_steps(curv[active], g[active])
         z_cur = z[active]
 
         # Step halving until the likelihood does not decrease, per row.  A
@@ -154,10 +160,10 @@ def estimate_scores(
         while True:
             rows = active[trial]
             z_try = z_cur[trial] + alpha * step[trial]
-            ll_try, g_try, f_try = _evaluate(z_try, y_incl, rows, incl, model.p)
+            ll_try, g_try, curv_try = _evaluate(z_try, y_incl, rows, incl, model.p)
             ok = ll_try >= ll[rows]
             z[rows[ok]] = z_try[ok]
-            ll[rows[ok]], g[rows[ok]], fisher[rows[ok]] = ll_try[ok], g_try[ok], f_try[ok]
+            ll[rows[ok]], g[rows[ok]], curv[rows[ok]] = ll_try[ok], g_try[ok], curv_try[ok]
             trial = trial[~ok]
             if trial.size == 0 or alpha <= _ALPHA_MIN:
                 break
@@ -206,7 +212,7 @@ def _inclusion(model: FactorModel, tau: float) -> _Inclusion:
 
 
 def _evaluate(z, y_incl, rows, incl: _Inclusion, p: int):
-    """Log-likelihood, gradient and Fisher information at trial points z.
+    """Log-likelihood, gradient and curvature -d^2 ll / dz^2 at trial points z.
 
     ``z[i]`` is the trial point of the sample in row ``rows[i]`` of
     ``y_incl`` (samples x included components).  Returns arrays of shape
@@ -216,11 +222,11 @@ def _evaluate(z, y_incl, rows, incl: _Inclusion, p: int):
     n, d = z.shape
     ll = np.empty(n)
     g = np.empty((n, d))
-    fisher = np.empty((n, d, d))
+    curv = np.empty((n, d, d))
     for s in range(0, n, _BLOCK_ROWS):
         e = min(s + _BLOCK_ROWS, n)
-        ll[s:e], g[s:e], fisher[s:e] = _kernel(z[s:e], y_incl[rows[s:e]], incl)
-    return ll / p, g / p, fisher / p
+        ll[s:e], g[s:e], curv[s:e] = _kernel(z[s:e], y_incl[rows[s:e]], incl)
+    return ll / p, g / p, curv / p
 
 
 def _kernel(z, y, incl: _Inclusion):
@@ -233,8 +239,17 @@ def _kernel(z, y, incl: _Inclusion):
     and the Mills ratios phi(a) / Phi(+-a) follow in log space.  Past
     a = 5, log phi(a) - log Phi(-a) loses relative precision (1e-11 at
     a = 1000) and past 37.5 Phi(-a) underflows, so there erfcx(a / sqrt 2)
-    gives both.  Everything stays exact and finite while a^2 does.  The
-    product x is written out, not left to BLAS, and each row is summed
+    gives both.  Everything stays exact and finite while a^2 does.
+
+    The cell's observed curvature -d^2/dx^2 is m (m + a) on the large side,
+    with m = phi(a) / Phi(a), and m (m - a) on the small side, with
+    m = phi(a) / Phi(-a).  Weighted by each side's share of y it is the
+    exact second derivative at fractional y as well.  The probit
+    likelihood is log-concave, so both lie in [0, 1] and the Newton system
+    is positive semidefinite.  m (m - a) cancels as a grows; for |x| <= 40
+    it is accurate to about 1e-12 relative.
+
+    The product x is written out, not left to BLAS, and each row is summed
     along its own contiguous components, so a row's bits do not depend on
     its block.
     """
@@ -267,29 +282,29 @@ def _kernel(z, y, incl: _Inclusion):
     w_small = 1.0 - w
     ll = (w * log_large + w_small * log_small).sum(axis=1)
     dx = (w * mills_large - w_small * mills_small) * (1.0 - 2.0 * neg)
-    info = mills_small * mills_large
+    info = w * mills_large * (mills_large + a) + w_small * mills_small * (mills_small - a)
     g = np.empty((len(z), d))
-    fisher = np.empty((len(z), d, d))
+    curv = np.empty((len(z), d, d))
     for k in range(d):
         g[:, k] = (dx * incl.bt[k]).sum(axis=1)
         for l in range(k + 1):
-            fisher[:, k, l] = fisher[:, l, k] = (info * (incl.bt[k] * incl.bt[l])).sum(axis=1)
-    return ll, g, fisher
+            curv[:, k, l] = curv[:, l, k] = (info * (incl.bt[k] * incl.bt[l])).sum(axis=1)
+    return ll, g, curv
 
 
-def _solve_steps(fisher: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _solve_steps(curv: np.ndarray, g: np.ndarray) -> np.ndarray:
     try:
-        return np.linalg.solve(fisher, g[..., None])[..., 0]
+        return np.linalg.solve(curv, g[..., None])[..., 0]
     except np.linalg.LinAlgError:
         pass
     # Some matrices are singular.  Their LU factorization, the one solve
     # uses, meets a zero pivot, so their determinant is exactly 0: ridge
-    # those, and give a zero step to those with no information at all.
+    # those, and give a zero step to those with zero curvature.
     d = g.shape[1]
-    trace = np.trace(fisher, axis1=1, axis2=2)
-    singular = np.linalg.det(fisher) == 0.0
+    trace = np.trace(curv, axis1=1, axis2=2)
+    singular = np.linalg.det(curv) == 0.0
     empty = singular & (trace <= 0.0)
-    regularized = fisher.copy()
+    regularized = curv.copy()
     regularized[singular] += (1e-8 * trace[singular] / d)[:, None, None] * np.eye(d)
     regularized[empty] = np.eye(d)
     step = np.linalg.solve(regularized, g[..., None])[..., 0]

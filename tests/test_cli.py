@@ -152,9 +152,11 @@ class TestDegenerateInputs:
         for out in outs:
             assert main(["score", "--data", str(data), "--model", str(model_path),
                          "--out", str(out)]) == 0
-        z_hat = np.loadtxt(outs[0], delimiter=",", skiprows=1, ndmin=2)[:, :d]
+        table = np.loadtxt(outs[0], delimiter=",", skiprows=1, ndmin=2)
+        z_hat = table[:, :d]
         assert z_hat.shape == y.shape[:1] + (d,)
         assert np.isfinite(z_hat).all()
+        assert np.all(table[:, -1] == 1)  # the converged column
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
 

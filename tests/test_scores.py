@@ -237,7 +237,9 @@ class TestTails:
         assert grad == pytest.approx(fd, rel=1e-6, abs=1e-300)
 
 
-class TestFisherInformation:
+class TestCurvature:
+    """The observed curvature -d^2 ll / dz^2 that the Newton steps solve."""
+
     def test_single_component_value(self):
         model = FactorModel(
             d=1,
@@ -247,7 +249,8 @@ class TestFisherInformation:
             tau2_hat=np.array([1.0]),
             eigvals=np.array([1.0]),
         )
-        # pdf(0)^2 / (Phi(0) * (1 - Phi(0))) = 4 pdf(0)^2
+        # (pdf(0) / Phi(0))^2 = 4 pdf(0)^2, where the observed curvature
+        # equals the Fisher information.
         info = evaluate_row(np.zeros(1), model, 0.0, np.zeros(1))[2]
         assert info[0, 0] == pytest.approx(0.6366197723675814, abs=1e-12)
 
@@ -280,6 +283,35 @@ class TestFisherInformation:
         info = evaluate_row(z, model, tau, y_bar)[2][0, 0]
         assert num_hess == pytest.approx(info, rel=0.02)
 
+    @pytest.mark.parametrize("x, y", TAIL_POINTS)
+    def test_matches_mpmath(self, x, y):
+        # -d^2/dt^2 log Phi(t) = lam(t) (lam(t) + t), lam = phi / Phi, at 40
+        # digits.  Past about 1e-290 the reference underflows in float64.
+        t = x if y == 1 else -x
+        with mp.workdps(40):
+            lam = mp.npdf(t) / mp.ncdf(t)
+            oracle = lam * (lam + t)
+        val = evaluate_row(np.array([x]), unit_probit_model(), 0.0, np.array([y]))[2][0, 0]
+        if oracle > 1e-290:
+            assert val == pytest.approx(float(oracle), rel=1e-12, abs=0.0)
+        else:
+            assert np.isfinite(val) and val >= 0.0
+
+    def test_matches_numeric_hessian_on_binary_row(self):
+        model = make_model(8, 1, seed=42)
+        y_row = np.random.default_rng(43).integers(0, 2, size=8)
+        tau = select_tau_threshold(model.tau2_hat, 90.0)
+        h = 1e-4
+        for z in (-3.0, -0.7, 0.0, 0.4, 2.5):
+            z = np.array([z])
+            num_hess = -(
+                loglik(z + h, model, tau, y_row)
+                - 2 * loglik(z, model, tau, y_row)
+                + loglik(z - h, model, tau, y_row)
+            ) / h**2
+            info = evaluate_row(z, model, tau, y_row)[2][0, 0]
+            assert num_hess == pytest.approx(info, rel=1e-5)
+
 
 class TestEstimateScores:
     def _simulated(self, n=150, p=10, d=2, seed=19):
@@ -310,8 +342,8 @@ class TestEstimateScores:
 
     def test_start_point_invariance(self):
         # Two stationary points with gradient norm <= tol can differ by up
-        # to 2 tol / lambda_min(Fisher), so the comparison is meaningful
-        # only where the information matrix is solidly positive definite
+        # to 2 tol / lambda_min(curvature), so the comparison is meaningful
+        # only where the curvature matrix is solidly positive definite
         # (separable rows have a flat ridge and a divergent maximizer).
         y, model = self._simulated(seed=21)
         rng = np.random.default_rng(22)
@@ -326,6 +358,15 @@ class TestEstimateScores:
         usable = a.converged & b.converged & (lam_min >= 1e-4)
         assert usable.mean() > 0.4
         np.testing.assert_allclose(a.z_hat[usable], b.z_hat[usable], atol=1e-6)
+
+    def test_every_row_converges_in_few_steps(self):
+        # Newton on the observed curvature converges quadratically near the
+        # maximizer, so no row creeps toward the tolerance until max_iter;
+        # row 179 of this sample converges only linearly under Fisher scoring.
+        y, model = self._simulated(n=400, seed=27)
+        scores = estimate_scores(y, model)
+        assert scores.converged.all()
+        assert scores.iterations.max() < 30
 
     def test_strong_signal_converges_quickly(self):
         y, model = self._simulated(seed=23)
@@ -349,6 +390,15 @@ class TestEstimateScores:
         assert scores.converged.all()
         np.testing.assert_array_equal(scores.grad_norms, np.zeros(y.n))
         np.testing.assert_array_equal(scores.iterations, np.zeros(y.n, dtype=int))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_start_rejected(self, bad):
+        y, model = self._simulated(seed=26)
+        z0 = np.zeros((y.n, model.d))
+        z0[3, 1] = bad
+        z0[4, 0] = bad
+        with pytest.raises(ValueError, match="row 3 "):
+            estimate_scores(y, model, z0=z0)
 
     def test_p_mismatch_rejected(self):
         y, model = self._simulated(seed=26)
@@ -393,7 +443,7 @@ class TestEstimateScores:
         # Below the rounding of the likelihood most rows cannot meet the
         # tolerance.  Such a row stops once a step leaves it in place, with
         # the steps it took, so a larger max_iter changes nothing.
-        y, model = self._simulated()
+        y, model = self._simulated(n=1000)
         a = estimate_scores(y, model, ScoreConfig(grad_tol=1e-15, max_iter=100))
         b = estimate_scores(y, model, ScoreConfig(grad_tol=1e-15, max_iter=200))
         assert (~a.converged).sum() > 10
@@ -403,20 +453,20 @@ class TestEstimateScores:
         np.testing.assert_array_equal(a.grad_norms, b.grad_norms)
 
 
-def solve_steps_by_row(fisher, g):
+def solve_steps_by_row(curv, g):
     """Row-by-row reference: ridge a singular matrix, zero step if empty."""
     d = g.shape[1]
     step = np.empty_like(g)
     for i in range(g.shape[0]):
         try:
-            step[i] = np.linalg.solve(fisher[i], g[i])
+            step[i] = np.linalg.solve(curv[i], g[i])
         except np.linalg.LinAlgError:
-            trace = float(np.trace(fisher[i]))
+            trace = float(np.trace(curv[i]))
             if trace <= 0.0:
                 step[i] = 0.0
             else:
                 ridge = 1e-8 * trace / d
-                step[i] = np.linalg.solve(fisher[i] + ridge * np.eye(d), g[i])
+                step[i] = np.linalg.solve(curv[i] + ridge * np.eye(d), g[i])
     return step
 
 
@@ -426,12 +476,12 @@ class TestSolveSteps:
         a = rng.standard_normal((3, 2, 2))
         regular = a @ a.transpose(0, 2, 1) + np.eye(2)
         rank_one = np.array([[1.0, 2.0], [2.0, 4.0]])  # exact zero pivot
-        fisher = np.stack(
+        curv = np.stack(
             [regular[0], rank_one, regular[1], np.zeros((2, 2)), 3.0 * rank_one, regular[2]]
         )
         g = rng.standard_normal((6, 2))
-        step = _solve_steps(fisher, g)
-        np.testing.assert_array_equal(step, solve_steps_by_row(fisher, g))
+        step = _solve_steps(curv, g)
+        np.testing.assert_array_equal(step, solve_steps_by_row(curv, g))
         np.testing.assert_array_equal(step[3], np.zeros(2))
 
 
