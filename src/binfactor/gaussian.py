@@ -222,8 +222,9 @@ def tetrachoric_invert_batch(c1, c2, p_target) -> tuple[np.ndarray, np.ndarray, 
     Every other target has its root bracketed by the closed-form boundary
     values at rho = -1 and +1.  A safeguarded Newton iteration (rtsafe,
     Press et al., Numerical Recipes section 9.4) on the closed-form
-    derivative refines it, starting from the approximation of Bonett and
-    Price (2005, J. Educ. Behav. Stat. 30:213).  It falls back to
+    derivative refines it.  It starts from one Newton step in theta =
+    arcsin(rho) from the exact anchor ell(0) = Phi(-c1) Phi(-c2), whose
+    slope in theta is pdf(c1) pdf(c2).  It falls back to
     bisection whenever a Newton step would leave the bracket or fails to
     halve the step before last, and never steps by less than 1e-12, so a
     converged iterate is confirmed by a sign change on its other side.
@@ -348,21 +349,6 @@ def _panel_integrals(c1, c2, a, b, gap):
     return out
 
 
-def _bonett_price(lo, hi, p):
-    """Closed-form tetrachoric approximation, cos(pi / (1 + omega^c)).
-
-    omega is the odds ratio of the 2x2 table of probabilities and
-    c = (1 - |p1 - p2| / 5 - (1/2 - p_min)^2) / 2, with p_min the smallest
-    marginal proportion.  A cell that rounds to zero or below gives 0.
-    """
-    p1, p2, q1 = ndtr(-lo), ndtr(-hi), ndtr(lo)  # p1 >= p2 and q1 <= 1 - p2
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_odds = np.log(p) + np.log(q1 - (p2 - p)) - np.log(p1 - p) - np.log(p2 - p)
-        c = 0.5 * (1.0 - (p1 - p2) / 5.0 - (0.5 - np.minimum(p2, q1)) ** 2)
-        start = np.cos(math.pi / (1.0 + np.exp(c * log_odds)))
-    return np.where(np.isfinite(start), start, 0.0)
-
-
 def _invert(lo, hi, p):
     """``tetrachoric_invert_batch`` on 1-D arrays with lo <= hi."""
     n = p.size
@@ -385,7 +371,13 @@ def _invert(lo, hi, p):
     # evaluated and lie too far from every iterate to close it.
     a, b = np.full(idx.size, -1.0), np.full(idx.size, 1.0)
     fa, fb = np.full(idx.size, -np.inf), np.full(idx.size, np.inf)
-    x = np.clip(_bonett_price(lo, hi, p), -edge, edge)
+    # The start is one Newton step in theta = arcsin(rho) from the exact
+    # anchor ell(0) = Phi(-lo) Phi(-hi), where d ell / d theta = pdf(lo) pdf(hi).
+    # A slope that underflows gives an infinite step, which stops at +-pi/2,
+    # or 0 / 0, which starts at 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = (p - ndtr(-lo) * ndtr(-hi)) / (std_normal_pdf(lo) * std_normal_pdf(hi))
+    x = np.clip(np.sin(np.clip(np.nan_to_num(theta), -HALF_PI, HALF_PI)), -edge, edge)
     step = step_before = np.full(idx.size, 2.0)
     for it in range(1, _MAX_ITER + 1):
         f = _ell(lo, hi, x) - p

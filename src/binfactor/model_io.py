@@ -37,15 +37,17 @@ class ModelFormatError(ValueError):
 
 
 def read_binary_matrix(path) -> BinaryMatrix:
-    """Parse a CSV of 0/1 entries; a non-numeric first row is a header.
+    """Parse a UTF-8 CSV of 0/1 entries; a non-numeric first row is a header.
 
-    Raises ``DataFormatError`` for a file that cannot be opened or decoded,
-    and names the (1-based) row and column of the first offending cell or
-    the row where the width changes.  Rows count from the first non-blank
-    line; blank lines are skipped, and cells may be quoted or space-padded.
+    A leading byte order mark is dropped, so it cannot turn the first row
+    into column names.  Raises ``DataFormatError`` for a file that cannot
+    be opened or decoded, and names the (1-based) row and column of the
+    first offending cell or the row where the width changes.  Rows count
+    from the first non-blank line; blank lines are skipped, and cells may
+    be quoted or space-padded.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: cannot read data file: {exc}") from exc

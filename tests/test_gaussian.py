@@ -30,7 +30,14 @@ from binfactor.gaussian import (
     tetrachoric_invert,
     tetrachoric_invert_batch,
 )
-from binfactor.moments import BinaryMatrix, estimate_tetrachoric, joint_frequency_matrix
+from binfactor.moments import (
+    BinaryMatrix,
+    estimate_tetrachoric,
+    joint_frequency_matrix,
+    marginal_frequencies,
+    thresholds,
+)
+from binfactor.simulate import SimScenario, generate_dataset, generate_true_model
 
 mp.mp.dps = 30
 
@@ -332,6 +339,14 @@ class TestTetrachoricInvert:
         res = tetrachoric_invert(1.5, 1.5, bvn_upper_tail(1.5, 1.5, -0.95))
         assert not res.clamped
         assert abs(res.rho_hat + 0.95) <= 1e-8
+        # At (20, 33) the slope pdf(c1) pdf(c2) of the rho = 0 start
+        # underflows, so its Newton step is infinite and must stop at the
+        # edge without a warning.  The roots were frozen from a solve with a
+        # different start, which may move a root only within 2e-12.
+        for p, rho in ((1e-240, 0.5560114684328589), (1e-300, 0.1050890058705664)):
+            res = tetrachoric_invert(20.0, 33.0, p)
+            assert not res.clamped
+            assert abs(res.rho_hat - rho) <= 2e-12
 
     def test_tiny_target_at_zero_boundary_is_clamped(self):
         # At c = 0 the -1 boundary is 0 and ell(-1 + 1e-12) is 2.3e-7, so
@@ -443,6 +458,19 @@ class TestBatchedKernel:
         c1, c2, rho = map(np.array, zip(*grid))
         _, iterations, _ = tetrachoric_invert_batch(c1, c2, bvn_upper_tail_batch(c1, c2, rho))
         assert iterations.max() <= 30
+
+    def test_few_evaluations_on_model_data(self):
+        # The rho = 0 anchor start needs 3.83 evaluations of ell per pair
+        # here; the Bonett-Price (2005) closed form needed 3.98.
+        scn = SimScenario(d=3, p=100, n=2000, reps=1, seed=3)
+        tm = generate_true_model(scn, np.random.default_rng([3, 0]))
+        y = generate_dataset(tm, scn.n, np.random.default_rng([3, 1, 0]))[0]
+        c = thresholds(marginal_frequencies(y), y.n).c_hat
+        j1, j2 = np.triu_indices(scn.p, 1)
+        _, iterations, _ = tetrachoric_invert_batch(
+            c[j1], c[j2], joint_frequency_matrix(y)[j1, j2]
+        )
+        assert iterations.mean() <= 3.9
 
     @pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan])
     def test_batch_target_domain(self, bad):

@@ -84,6 +84,20 @@ class TestReadBinaryMatrix:
         y = read_binary_matrix(f)
         np.testing.assert_array_equal(y.data, [[0, 1], [1, 0]])
 
+    @pytest.mark.parametrize("text, data, names", [
+        ("0,1\n1,1\n", [[0, 1], [1, 1]], None),
+        ("a,b\n0,1\n", [[0, 1]], ("a", "b")),
+        ('"a","b"\r\n0,1\r\n', [[0, 1]], ("a", "b")),
+    ])
+    def test_byte_order_mark_dropped(self, tmp_path, text, data, names):
+        # A kept BOM made a headerless first row non-numeric, so it was
+        # read as column names and the sample was lost.
+        f = tmp_path / "d.csv"
+        f.write_bytes(text.encode("utf-8-sig"))
+        y = read_binary_matrix(f)
+        np.testing.assert_array_equal(y.data, data)
+        assert y.column_names == names
+
     def test_non_ascii_cell_located(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_bytes("a,b\n0,\u00e9\n".encode("utf-8"))
@@ -97,7 +111,7 @@ def read_by_cell(path):
     Returns (data, names), or the message of the DataFormatError that
     ``read_binary_matrix`` must raise.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [[cell.strip() for cell in row] for row in csv.reader(fh) if row]
     if not rows:
         return f"{path}: file contains no data"
