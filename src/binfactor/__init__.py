@@ -38,6 +38,7 @@ from .moments import (
     tetrachoric_from_probabilities,
     thresholds,
 )
+from .parallel import map_slices, usable_cpus
 from .scores import (
     LatentScores,
     ScoreConfig,

@@ -1,8 +1,9 @@
 """Command-line interface: fit, score, simulate, selfcheck.
 
 Exit codes: 0 on success, 1 on a runtime failure, 2 on invalid input or
-flags.  Every command is deterministic given its flags and seed; simulate
-output is byte-identical across runs and across ``--threads`` settings.
+flags.  Every command is deterministic given its flags and seed; the fit,
+score and simulate outputs are byte-identical across runs and across
+``--threads`` settings.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import os
 import sys
 
 from . import model_io
+from .parallel import usable_cpus
 from .scores import ScoreConfig, estimate_scores
 from .selfcheck import format_report, run_selfcheck
 from .simulate import SimScenario, run_replications
@@ -41,6 +43,9 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad flags and 0 on --help; pass that through.
         return int(exc.code or 0)
     try:
+        threads = getattr(args, "threads", 1)
+        if threads < 1:
+            raise _UsageError(f"--threads must be at least 1, got {threads}")
         out = getattr(args, "out", None)
         if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
             raise _UsageError(f"--out must name a file in an existing directory: {out}")
@@ -67,6 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--data", required=True, help="input CSV of 0/1 entries")
     fit.add_argument("--d", required=True, type=int, help="number of latent factors")
     fit.add_argument("--out", required=True, help="output model file")
+    _add_threads(fit, "tetrachoric pair chunks")
     fit.set_defaults(func=_cmd_fit)
 
     score = sub.add_parser("score", help="estimate latent factors for each sample")
@@ -79,6 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="gradient-norm stopping tolerance (default 1e-8)")
     score.add_argument("--max-iter", type=int, default=100,
                        help="iteration cap per sample (default 100)")
+    _add_threads(score, "row shards")
     score.set_defaults(func=_cmd_score)
 
     sim = sub.add_parser("simulate", help="run the Monte Carlo study")
@@ -96,8 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--m", type=float, default=90.0,
                      help="scoring inclusion percentage (default 90)")
     sim.add_argument("--grad-tol", type=float, default=1e-8)
-    sim.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                     help="replication-level parallelism (results are identical)")
+    _add_threads(sim, "replications")
     sim.add_argument("--timings", action="store_true",
                      help="include wall-clock stage times in the CSV (not byte-reproducible)")
     sim.set_defaults(func=_cmd_simulate)
@@ -105,6 +111,12 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("selfcheck", help="run the numerical verification battery")
     check.set_defaults(func=_cmd_selfcheck)
     return parser
+
+
+def _add_threads(parser: argparse.ArgumentParser, units: str) -> None:
+    parser.add_argument("--threads", type=int, default=usable_cpus(),
+                        help=f"threads that run the {units}; the output is identical "
+                             "at any count (default: the usable CPUs)")
 
 
 def _int_list(text: str) -> list[int]:
@@ -121,7 +133,7 @@ def _cmd_fit(args) -> int:
     y = model_io.read_binary_matrix(args.data)
     if not 1 <= args.d <= y.p:
         raise _UsageError(f"--d must be between 1 and p={y.p}, got {args.d}")
-    model = fit_model(y, args.d)
+    model = fit_model(y, args.d, args.threads)
     model_io.write_model(model, args.out)
     eig = ", ".join(f"{v:.6g}" for v in model.eigvals)
     print(f"fitted model: p={model.p} n={y.n} d={model.d}")
@@ -144,7 +156,7 @@ def _cmd_score(args) -> int:
     model = model_io.read_model(args.model)
     if model.p != y.p:
         raise _UsageError(f"model expects p={model.p} features, data has p={y.p}")
-    scores = estimate_scores(y, model, cfg)
+    scores = estimate_scores(y, model, cfg, threads=args.threads)
     model_io.write_scores(scores, args.out)
     n_conv = int(scores.converged.sum())
     print(f"scored {scores.n} samples (d={model.d}); converged: {n_conv}/{scores.n}")
@@ -153,8 +165,6 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.threads < 1:
-        raise _UsageError(f"--threads must be at least 1, got {args.threads}")
     ps, ns = _GRIDS[args.grid] if args.grid else (args.p, args.n)
     try:
         scenarios = [

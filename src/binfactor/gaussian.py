@@ -36,11 +36,14 @@ evaluates ``ell`` and ``tetrachoric_invert_batch`` inverts it for arrays of
 pairs, and the scalar ``bvn_upper_tail`` and ``tetrachoric_invert`` are
 1-element calls to them.  The inversion has one edge, ``1 - RHO_CLAMP``;
 a root beyond it is returned clamped there.  Pairs that need the same
-number of panels are stacked into one dense array.  Both batch functions
-work through their pairs in chunks of ``_CHUNK_PAIRS``, so their working
-memory is bounded whatever the number of pairs.  Each pair is computed
-from its own values only, so its result is bitwise the same alone, in any
-batch, in any order and on either side of a chunk boundary.
+number of panels are stacked into dense arrays of at most ``_NODE_BUDGET``
+(2**16) quadrature nodes, so the quadrature's temporaries stay at 512 KB
+however many panels a tail pair needs.  The inversion works through its
+pairs in chunks of ``_CHUNK_PAIRS`` (16384), which run on up to
+``threads`` threads.  Each pair is computed from its own values only and
+summed along its own contiguous row, so its result is bitwise the same
+alone, in any batch, in any order, on either side of a chunk or node-budget
+boundary and at any thread count.
 """
 
 from __future__ import annotations
@@ -50,6 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
+
+from .parallel import map_slices
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 HALF_PI = 0.5 * math.pi
@@ -84,9 +89,14 @@ _MARGINAL_ULPS = 4
 # at most two bits; a switch at 0.01 let the relative error reach 1e-13.
 _TAIL_FRACTION = 0.25
 
-# Pairs per pass of the batch functions.  A pass holds a few arrays of
-# (pairs x panels x 20) nodes; 1024 pairs keep that to a few megabytes.
-_CHUNK_PAIRS = 1024
+# Pairs per chunk of the inversion, the unit of its threads.  Each
+# iteration of the root finder is a few numpy calls per chunk, so a small
+# chunk is mostly call overhead and too short to run in parallel.
+_CHUNK_PAIRS = 16384
+
+# Quadrature nodes per pass of ``_panel_integrals``: 2**16 float64 nodes
+# keep each of its temporaries at 512 KB, however many panels a pair needs.
+_NODE_BUDGET = 2**16
 
 _GL_ORDER = 20
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
@@ -155,10 +165,7 @@ def bvn_upper_tail_batch(c1, c2, rho) -> np.ndarray:
     bad = ~(np.abs(rho) < 1.0)
     if bad.any():
         raise ValueError(f"rho must satisfy |rho| < 1, got {float(rho[bad][0])!r}")
-    out = np.empty(rho.size)
-    for s in _chunks(rho.size):
-        out[s] = _ell(lo[s], hi[s], rho[s])
-    return out.reshape(shape)
+    return _ell(lo, hi, rho).reshape(shape)
 
 
 def bvn_upper_tail_drho(c1: float, c2: float, rho: float) -> float:
@@ -202,11 +209,14 @@ def tetrachoric_invert(c1: float, c2: float, p_target: float) -> InversionResult
     return InversionResult(float(rho), int(iterations), bool(clamped))
 
 
-def tetrachoric_invert_batch(c1, c2, p_target) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def tetrachoric_invert_batch(
+    c1, c2, p_target, threads: int = 1
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve ell(c1, c2; rho) = p_target for broadcastable arrays of pairs.
 
     Returns the arrays ``(rho_hat, iterations, clamped)``, with the
-    meanings of the ``InversionResult`` fields.
+    meanings of the ``InversionResult`` fields.  Chunks of pairs run on up
+    to ``threads`` threads; the result is bitwise the same at any count.
 
     Targets on or beyond a boundary value are clamped to
     ``+-(1 - RHO_CLAMP)``.  The +1 margin is 1e-12 of the boundary value.
@@ -242,8 +252,11 @@ def tetrachoric_invert_batch(c1, c2, p_target) -> tuple[np.ndarray, np.ndarray, 
     rho = np.empty(p.size)
     iterations = np.zeros(p.size, dtype=np.int64)
     clamped = np.zeros(p.size, dtype=bool)
-    for s in _chunks(p.size):
+
+    def solve(s: slice) -> None:
         rho[s], iterations[s], clamped[s] = _invert(lo[s], hi[s], p[s])
+
+    map_slices(solve, p.size, _CHUNK_PAIRS, threads)
     return rho.reshape(shape), iterations.reshape(shape), clamped.reshape(shape)
 
 
@@ -255,10 +268,6 @@ def _flat_pairs(c1, c2, values):
         pair = (float(c1[bad][0]), float(c2[bad][0]))
         raise ValueError(f"thresholds must be finite, got {pair!r}")
     return np.minimum(c1, c2).ravel(), np.maximum(c1, c2).ravel(), values.ravel(), values.shape
-
-
-def _chunks(n: int):
-    return (slice(i, min(i + _CHUNK_PAIRS, n)) for i in range(0, n, _CHUNK_PAIRS))
 
 
 def _lower_difference(lo, hi):
@@ -317,8 +326,7 @@ def _panel_integrals(c1, c2, a, b, gap):
     panels = (n_smooth + n_halved + (rem > 0.0)).astype(int)
 
     out = np.zeros(a.size)
-    for k in np.unique(panels[panels > 0]):
-        idx = np.flatnonzero(panels == k)
+    for k, idx in _panel_groups(panels):
         ks, a_k, b_k, s_k = n_smooth[idx, None], a[idx, None], b[idx, None], smooth_end[idx, None]
         # Bound j is a + j * (smooth_end - a) / ks up to smooth_end, then
         # b - rem / 2^(j - ks), and b itself last.
@@ -347,6 +355,17 @@ def _panel_integrals(c1, c2, a, b, gap):
         h *= half[:, :, None] * (_GL_WEIGHTS / (2.0 * math.pi))
         out[idx] = h.reshape(idx.size, -1).sum(axis=1)
     return out
+
+
+def _panel_groups(panels):
+    """(k, indices) of the pairs that need k > 0 panels, at most
+    ``_NODE_BUDGET`` quadrature nodes at a time.  Each pair is summed along
+    its own contiguous row, so its bits do not depend on the grouping."""
+    for k in np.unique(panels[panels > 0]):
+        group = np.flatnonzero(panels == k)
+        rows = max(1, _NODE_BUDGET // (int(k) * _GL_ORDER))
+        for start in range(0, group.size, rows):
+            yield k, group[start : start + rows]
 
 
 def _invert(lo, hi, p):

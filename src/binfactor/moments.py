@@ -125,27 +125,33 @@ def joint_frequency_matrix(y: BinaryMatrix) -> np.ndarray:
     return counts / y.n
 
 
-def estimate_tetrachoric(y: BinaryMatrix) -> tuple[MarginalSummary, TetrachoricMatrix]:
+def estimate_tetrachoric(
+    y: BinaryMatrix, threads: int = 1
+) -> tuple[MarginalSummary, TetrachoricMatrix]:
     """Full moment pipeline: frequencies, thresholds, pairwise inversion.
 
     Every unordered column pair is inverted independently, so the result
-    does not depend on evaluation order; row permutations of the input
-    leave it unchanged.
+    does not depend on evaluation order or on ``threads``; row
+    permutations of the input leave it unchanged.
     """
-    return tetrachoric_from_probabilities(marginal_frequencies(y), joint_frequency_matrix(y), y.n)
+    return tetrachoric_from_probabilities(
+        marginal_frequencies(y), joint_frequency_matrix(y), y.n, threads
+    )
 
 
 def tetrachoric_from_probabilities(
     p_marginal: np.ndarray,
     p_joint: np.ndarray,
     n: int | None = None,
+    threads: int = 1,
 ) -> tuple[MarginalSummary, TetrachoricMatrix]:
     """Run the estimator on externally supplied probabilities.
 
     With exact population probabilities this recovers the true correlation
     matrix up to root-finder tolerance.  ``n`` enables the finite-sample
     frequency clamp of ``thresholds``; without it the marginals must lie
-    strictly in (0, 1).
+    strictly in (0, 1).  The pairs are inverted on up to ``threads``
+    threads.
     """
     p_marginal = np.asarray(p_marginal, dtype=float)
     p_joint = np.asarray(p_joint, dtype=float)
@@ -155,14 +161,14 @@ def tetrachoric_from_probabilities(
             f"{p_marginal.size} marginals"
         )
     ms = thresholds(p_marginal, n)
-    return ms, _invert_joint_matrix(ms.c_hat, p_joint)
+    return ms, _invert_joint_matrix(ms.c_hat, p_joint, threads)
 
 
-def _invert_joint_matrix(c_hat: np.ndarray, joint: np.ndarray) -> TetrachoricMatrix:
+def _invert_joint_matrix(c_hat: np.ndarray, joint: np.ndarray, threads: int) -> TetrachoricMatrix:
     """Invert every pair j1 < j2 of the upper triangle in one batched call."""
     p = c_hat.size
     j1, j2 = np.triu_indices(p, 1)
-    rho, _, clamped = tetrachoric_invert_batch(c_hat[j1], c_hat[j2], joint[j1, j2])
+    rho, _, clamped = tetrachoric_invert_batch(c_hat[j1], c_hat[j2], joint[j1, j2], threads)
     sigma = np.eye(p)
     sigma[j1, j2] = sigma[j2, j1] = rho
     flagged = zip(j1[clamped].tolist(), j2[clamped].tolist())

@@ -15,7 +15,9 @@ curvature together, in log space and with no probability floor, over
 blocks of 1024 rows; each row is summed along its own contiguous
 components, so its bits do not depend on the block.  The ascent keeps them
 for each accepted point, and retires a row whose step leaves it in place (a
-stalled row).
+stalled row).  Rows are cut into fixed shards of 8192; each shard runs its
+whole ascent on its own, on up to ``threads`` threads, and a row's steps
+are its own, so the scores are bitwise the same at any thread count.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import numpy as np
 from scipy.special import erfcx, ndtr
 
 from .moments import BinaryMatrix
+from .parallel import map_slices
 from .spectral import FactorModel
 
 _ALPHA_MIN = 1e-12  # smallest step-halving factor before a step is abandoned
@@ -34,6 +37,9 @@ _ALPHA_MIN = 1e-12  # smallest step-halving factor before a step is abandoned
 # Rows per kernel pass: its ~15 (rows x components) temporaries stay at a
 # few megabytes whatever n is.
 _BLOCK_ROWS = 1024
+# Rows per shard, the unit of the scoring threads: each shard runs its own
+# whole ascent, so the threads share no per-step barrier.
+_SHARD_ROWS = 8192
 _LOG_SPACE_MAX = 5.0  # |x| past which the kernel's tail values use erfcx
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -95,6 +101,7 @@ def estimate_scores(
     model: FactorModel,
     cfg: ScoreConfig | None = None,
     z0: np.ndarray | None = None,
+    threads: int = 1,
 ) -> LatentScores:
     """Estimate the latent factors of every sample.
 
@@ -105,7 +112,8 @@ def estimate_scores(
     ``cfg.max_iter`` steps.  A row whose step leaves it in place (halving found no better
     point) stops too, since every later step would repeat it; it keeps
     ``converged=False``, its gradient norm and the steps it took.  Rows are
-    independent; the result does not depend on their order.
+    independent; the result does not depend on their order or on
+    ``threads``, the number of threads that run the row shards.
 
     Rows start at the origin, or at their rows of ``z0`` (n x d, finite).
     With no component included every row converges at its start after 0
@@ -129,12 +137,32 @@ def estimate_scores(
             raise ValueError(f"z0 must be finite; row {int(np.argmax(bad))} is {z[bad][0]}")
 
     y_incl = y.data[:, incl.mask]
+    shards = map_slices(
+        lambda s: _ascend(z[s], y_incl[s], incl, model.p, cfg), n, _SHARD_ROWS, threads
+    )
+    iters, gnorm, conv = (np.concatenate(records) for records in zip(*shards))
+    return LatentScores(z_hat=z, iterations=iters, grad_norms=gnorm, converged=conv)
+
+
+def reconstruct(model: FactorModel, scores: LatentScores) -> np.ndarray:
+    """Per-sample reconstructions: row i is b_hat @ z_i."""
+    return scores.z_hat @ model.b_hat.T
+
+
+def _ascend(z, y_incl, incl: _Inclusion, p: int, cfg: ScoreConfig):
+    """The ascent of ``estimate_scores`` for one shard of rows.
+
+    Moves the points ``z`` in place and returns the rows' iterations,
+    gradient norms and convergence flags.  ``steps`` is every active row's
+    own step count, so no row's result depends on the other rows.
+    """
+    n = len(z)
     iters = np.zeros(n, dtype=int)
     gnorm = np.zeros(n)
     conv = np.zeros(n, dtype=bool)
     active = np.arange(n)
     # The log-likelihood, gradient and curvature of each row's current point.
-    ll, g, curv = _evaluate(z, y_incl, active, incl, model.p)
+    ll, g, curv = _evaluate(z, y_incl, active, incl, p)
 
     steps = 0
     while active.size:
@@ -160,7 +188,7 @@ def estimate_scores(
         while True:
             rows = active[trial]
             z_try = z_cur[trial] + alpha * step[trial]
-            ll_try, g_try, curv_try = _evaluate(z_try, y_incl, rows, incl, model.p)
+            ll_try, g_try, curv_try = _evaluate(z_try, y_incl, rows, incl, p)
             ok = ll_try >= ll[rows]
             z[rows[ok]] = z_try[ok]
             ll[rows[ok]], g[rows[ok]], curv[rows[ok]] = ll_try[ok], g_try[ok], curv_try[ok]
@@ -173,18 +201,7 @@ def estimate_scores(
         stalled = np.all(z[active] == z_cur, axis=1)
         gnorm[active[stalled]] = gn[stalled]
         active = active[~stalled]
-
-    return LatentScores(
-        z_hat=z,
-        iterations=iters,
-        grad_norms=gnorm,
-        converged=conv,
-    )
-
-
-def reconstruct(model: FactorModel, scores: LatentScores) -> np.ndarray:
-    """Per-sample reconstructions: row i is b_hat @ z_i."""
-    return scores.z_hat @ model.b_hat.T
+    return iters, gnorm, conv
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,13 @@ Paired trend comparisons across the grid inherit this coupling.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .gaussian import bvn_upper_tail_batch, std_normal_cdf
 from .moments import BinaryMatrix, TetrachoricMatrix, estimate_tetrachoric
+from .parallel import map_slices
 from .scores import LatentScores, ScoreConfig, estimate_scores
 from .spectral import (
     FactorModel,
@@ -168,6 +168,8 @@ def run_replications(
 
     Replication r draws from a substream keyed by (seed, r), so results are
     identical regardless of ``threads``; the list is in replication order.
+    Replications run on up to ``threads`` threads, and each runs its
+    kernels serially, so thread pools never nest.
     A failing replication yields a record with NaN metrics and the error
     message, and the run continues, so the list always has ``scn.reps``
     records.
@@ -175,7 +177,8 @@ def run_replications(
     score_config = score_config or ScoreConfig()
     tm = generate_true_model(scn, np.random.default_rng([scn.seed, 0]))
 
-    def one(r: int) -> MetricsRecord:
+    def one(s: slice) -> MetricsRecord:
+        r = s.start
         try:
             return _run_one(scn, tm, r, score_config)
         except Exception as exc:  # noqa: BLE001 - per-replication isolation
@@ -189,8 +192,7 @@ def run_replications(
                 error=f"{type(exc).__name__}: {exc}",
             )
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, range(scn.reps)))
+    return map_slices(one, scn.reps, 1, threads)
 
 
 def _run_one(

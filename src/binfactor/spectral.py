@@ -179,11 +179,14 @@ def fit_from_tetrachoric(
     )
 
 
-def fit_model(y: BinaryMatrix, d: int) -> FactorModel:
-    """End-to-end fit: ``estimate_tetrachoric`` then ``fit_from_tetrachoric``."""
+def fit_model(y: BinaryMatrix, d: int, threads: int = 1) -> FactorModel:
+    """End-to-end fit: ``estimate_tetrachoric`` then ``fit_from_tetrachoric``.
+
+    The model is bitwise the same at any ``threads``.
+    """
     if not 1 <= d <= y.p:
         raise ValueError(f"need 1 <= d <= p={y.p}, got d={d}")
-    ms, tetra = estimate_tetrachoric(y)
+    ms, tetra = estimate_tetrachoric(y, threads)
     return fit_from_tetrachoric(ms, tetra, d, {"n": y.n})
 
 

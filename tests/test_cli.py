@@ -111,6 +111,49 @@ class TestScore:
         assert not out.exists()
 
 
+class TestThreads:
+    """``fit`` and ``score`` write the same bytes at any ``--threads``."""
+
+    def test_fit_and_score_byte_identical(self, tmp_path, data_csv, monkeypatch):
+        from binfactor import gaussian, scores
+
+        # p = 10 has 45 pairs and the data 100 rows: small units make
+        # several of each, so two threads really split the work.
+        monkeypatch.setattr(gaussian, "_CHUNK_PAIRS", 8)
+        monkeypatch.setattr(scores, "_SHARD_ROWS", 16)
+        outputs = []
+        for threads in ("1", "2"):
+            model, table = tmp_path / f"m{threads}.json", tmp_path / f"s{threads}.csv"
+            assert main(["fit", "--data", str(data_csv), "--d", "2", "--out", str(model),
+                         "--threads", threads]) == 0
+            assert main(["score", "--data", str(data_csv), "--model", str(model),
+                         "--out", str(table), "--threads", threads]) == 0
+            outputs.append((model.read_bytes(), table.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", [
+        ["fit", "--d", "2"], ["score", "--model", "missing.json"],
+    ])
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_below_one_rejected_before_reading(self, tmp_path, capsys, command, threads):
+        out = tmp_path / "out"
+        code = main([*command, "--data", str(tmp_path / "missing.csv"), "--out", str(out),
+                     "--threads", threads])
+        assert code == 2
+        assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_is_the_usable_cpus(self):
+        from binfactor.cli import _build_parser
+        from binfactor.parallel import usable_cpus
+
+        parser = _build_parser()
+        for argv in (["fit", "--data", "x", "--d", "1", "--out", "o"],
+                     ["score", "--data", "x", "--model", "m", "--out", "o"],
+                     ["simulate", "--out", "o"]):
+            assert parser.parse_args(argv).threads == usable_cpus()
+
+
 def _degenerate_case(case):
     """(data, d) for one degenerate input, derived from 300 x 6 model data."""
     scn = SimScenario(d=2, p=6, n=300, reps=1, seed=5)
@@ -368,7 +411,7 @@ class TestRuntimeFailure:
     def test_exits_one_with_message(self, tmp_path, data_csv, capsys, monkeypatch):
         import binfactor.cli as cli_mod
 
-        def broken(y, d):
+        def broken(y, d, threads=1):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(cli_mod, "fit_model", broken)

@@ -17,7 +17,6 @@ from scipy import integrate
 
 from binfactor import gaussian
 from binfactor.gaussian import (
-    _CHUNK_PAIRS,
     RHO_CLAMP,
     _drho,
     bvn_boundary_value,
@@ -425,11 +424,13 @@ class TestBatchedKernel:
         assert np.all(np.abs(rho_hat) <= 1.0 - RHO_CLAMP)
         assert np.all(np.abs(rho_hat[clamped]) == 1.0 - RHO_CLAMP)
 
-    def test_pair_result_independent_of_position(self):
-        # p = 50 gives 1225 pairs, more than one chunk of the matrix path.
+    def test_pair_result_independent_of_position(self, monkeypatch):
+        # p = 50 gives 1225 pairs; with 256-pair chunks the matrix path spans
+        # five of them, so pairs sit on both sides of chunk boundaries.
+        monkeypatch.setattr(gaussian, "_CHUNK_PAIRS", 256)
         rng = np.random.default_rng(2024)
         n, p = 4000, 50
-        assert p * (p - 1) // 2 > _CHUNK_PAIRS
+        assert p * (p - 1) // 2 > 4 * gaussian._CHUNK_PAIRS
         z = rng.standard_normal((n, 2))
         e = z @ rng.uniform(-0.8, 0.8, (2, p)) + 0.6 * rng.standard_normal((n, p))
         data = (e > rng.uniform(-2.0, 2.0, p)).astype(np.uint8)
@@ -447,6 +448,48 @@ class TestBatchedKernel:
         rho, _, clamped = tetrachoric_invert_batch(c[a], c[b], joint[a, b])
         np.testing.assert_array_equal(rho, tetra.sigma[a, b])
         assert {(int(x), int(y)) for x, y in zip(b[clamped], a[clamped])} == tetra.clamp_flags
+
+    def test_inversion_bitwise_across_threads(self):
+        # Three full chunks and a remainder, with targets on both boundaries.
+        rng = np.random.default_rng(2025)
+        n = 3 * gaussian._CHUNK_PAIRS + 123
+        c1, c2 = rng.uniform(-2.5, 2.5, (2, n))
+        p = bvn_upper_tail_batch(c1, c2, rng.uniform(-0.999, 0.999, n))
+        p[:40] = 0.0
+        p[40:80] = std_normal_cdf(-np.maximum(c1[40:80], c2[40:80]))
+        serial = tetrachoric_invert_batch(c1, c2, p, threads=1)
+        threaded = tetrachoric_invert_batch(c1, c2, p, threads=2)
+        assert serial[2][:80].all() and not serial[2][80:].all()
+        for a, b in zip(serial, threaded):
+            np.testing.assert_array_equal(a, b)
+
+    def test_node_budget_keeps_each_pair_bitwise(self, monkeypatch):
+        # Tail cells with c2 near -c1 and rho near -1 integrate up to the
+        # singular point pi/2 and need up to twenty panels.  Under a budget
+        # of 100 nodes every pass holds one to five pairs, and each still
+        # evaluates and inverts bit for bit as in its own 1-element call.
+        c1 = np.repeat(np.linspace(-2.5, 2.5, 11), 4)
+        c2 = -c1 + np.tile([0.0, 0.01, -0.02, 0.3], 11)
+        rho = np.repeat([-0.999, -0.9999, -0.99999, -0.97], 11)
+        ell = bvn_upper_tail_batch(c1, c2, rho)
+        alone = [tetrachoric_invert(a, b, t) for a, b, t in zip(c1, c2, ell)]
+
+        real_groups, seen = gaussian._panel_groups, []
+
+        def recording(panels):
+            for k, idx in real_groups(panels):
+                seen.append((int(k), idx.size))
+                yield k, idx
+
+        monkeypatch.setattr(gaussian, "_panel_groups", recording)
+        monkeypatch.setattr(gaussian, "_NODE_BUDGET", 100)
+        np.testing.assert_array_equal(bvn_upper_tail_batch(c1, c2, rho), ell)
+        rho_hat, iterations, clamped = tetrachoric_invert_batch(c1, c2, ell)
+        assert max(k for k, _ in seen) >= 15
+        assert all(rows * k * 20 <= 100 or rows == 1 for k, rows in seen)
+        np.testing.assert_array_equal(rho_hat, [r.rho_hat for r in alone])
+        np.testing.assert_array_equal(iterations, [r.iterations for r in alone])
+        np.testing.assert_array_equal(clamped, [r.clamped for r in alone])
 
     def test_iterations_bounded_on_round_trip_grid(self):
         # The 500 cells of acceptance criterion 2, where ell is exponentially

@@ -1,0 +1,98 @@
+"""Executor tests: slice layout, ordering, and the worker count it asks for."""
+
+import os
+import sys
+
+import numpy as np
+import pytest
+
+from binfactor import gaussian, parallel
+from binfactor.gaussian import bvn_upper_tail_batch, tetrachoric_invert_batch
+from binfactor.parallel import map_slices, usable_cpus
+
+
+class RecordingPool:
+    """Stands in for ThreadPoolExecutor: records max_workers, runs inline."""
+
+    requested = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    RecordingPool.requested = []
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordingPool)
+    return RecordingPool
+
+
+def test_fixed_contiguous_slices_in_order():
+    got = map_slices(lambda s: (s.start, s.stop), 10, 4, threads=3)
+    assert got == [(0, 4), (4, 8), (8, 10)]
+
+
+@pytest.mark.parametrize("n, size, threads, workers", [
+    (10, 4, 2, [2]),
+    (10, 4, 1_000_000, [3]),  # never more threads than slices
+    (10, 4, 1, []),  # inline, no pool
+    (3, 4, 8, []),  # one slice: inline
+    (0, 4, 8, []),  # no work
+])
+def test_workers_requested(pool, n, size, threads, workers):
+    slices = map_slices(lambda s: s, n, size, threads)
+    assert len(slices) == -(-n // size)
+    assert pool.requested == workers
+
+
+def test_replications_ask_for_at_most_one_thread_each(pool):
+    from binfactor.simulate import SimScenario, run_replications
+
+    records = run_replications(SimScenario(d=1, p=4, n=50, reps=2, seed=1), threads=64)
+    assert len(records) == 2
+    assert pool.requested == [2]
+
+
+def test_threads_below_one_rejected():
+    with pytest.raises(ValueError, match="threads must be at least 1, got 0"):
+        map_slices(lambda s: s, 10, 4, threads=0)
+
+
+def test_usable_cpus_follows_the_affinity_mask(monkeypatch):
+    # A process pinned to one CPU of a larger machine gets one thread.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert usable_cpus() == 1
+    # Without affinity masks, the CPU count, or 1 when it is unknown.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert usable_cpus() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert usable_cpus() == 1
+
+
+def test_stress_more_threads_than_cores(monkeypatch):
+    # Eight threads over 32 chunks, switching every microsecond: every
+    # chunk writes only its own slice, so none of its results is lost and
+    # the inversion equals the serial one bit for bit.
+    monkeypatch.setattr(gaussian, "_CHUNK_PAIRS", 64)
+    rng = np.random.default_rng(5)
+    c1, c2 = rng.uniform(-2.0, 2.0, (2, 2048))
+    p = bvn_upper_tail_batch(c1, c2, rng.uniform(-0.95, 0.95, 2048))
+    serial = tetrachoric_invert_batch(c1, c2, p)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = tetrachoric_invert_batch(c1, c2, p, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(serial, threaded):
+        np.testing.assert_array_equal(a, b)

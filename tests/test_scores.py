@@ -11,6 +11,7 @@ from binfactor.moments import BinaryMatrix
 from binfactor.scores import (
     _BLOCK_ROWS,
     _LOG_SPACE_MAX,
+    _SHARD_ROWS,
     _evaluate,
     _inclusion,
     _solve_steps,
@@ -422,6 +423,20 @@ class TestEstimateScores:
         b = estimate_scores(BinaryMatrix(y.data[perm]), model)
         np.testing.assert_array_equal(a.z_hat[perm], b.z_hat)
         np.testing.assert_array_equal(a.iterations[perm], b.iterations)
+
+    @pytest.mark.parametrize("start", ["origin", "z0"])
+    def test_bitwise_across_threads(self, start):
+        # Two full shards and a remainder; a shard's rows take their own
+        # number of steps whichever thread runs it.
+        y, model = self._simulated(n=2 * _SHARD_ROWS + 77, seed=30)
+        z0 = None
+        if start == "z0":
+            z0 = np.random.default_rng(31).uniform(-2.0, 2.0, (y.n, model.d))
+        a = estimate_scores(y, model, z0=z0, threads=1)
+        b = estimate_scores(y, model, z0=z0, threads=2)
+        assert a.iterations.min() < a.iterations.max()
+        for field in ("z_hat", "iterations", "grad_norms", "converged"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_row_scored_alone_matches_block(self, d):
