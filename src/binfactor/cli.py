@@ -47,13 +47,12 @@ def main(argv=None) -> int:
         if threads < 1:
             raise _UsageError(f"--threads must be at least 1, got {threads}")
         out = getattr(args, "out", None)
-        if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+        if out is not None and (
+            not out or os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")
+        ):
             raise _UsageError(f"--out must name a file in an existing directory: {out}")
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (model_io.DataFormatError, model_io.ModelFormatError) as exc:
+    except (_UsageError, model_io.DataFormatError, model_io.ModelFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -289,7 +289,7 @@ def _ell(lo, hi, rho):
     # h(t; lo, -hi), rho < 0 subtracts the integral of h(t; lo, -hi) over
     # [0, |theta|] from the anchor, on the same short panels as rho >= 0.
     anchor = ndtr(-lo) * ndtr(-hi)
-    area = _panel_integrals(lo, np.where(neg, -hi, hi), np.zeros(rho.size), theta, HALF_PI - theta)
+    area = _panel_integrals(lo, np.where(neg, -hi, hi), np.zeros(rho.size), theta)
     out = anchor + np.where(neg, -area, area)
     tail = np.flatnonzero(neg & (out <= _TAIL_FRACTION * anchor))
     lo, hi, theta = lo[tail], hi[tail], theta[tail]
@@ -298,25 +298,25 @@ def _ell(lo, hi, rho):
     # zero once (lo + hi) / cos(t) exceeds ~43, so the integral is cut there.
     cutoff = HALF_PI - np.minimum(0.1, np.abs(lo + hi) / 43.0)
     out[tail] = np.maximum(0.0, _lower_difference(lo, hi)) + _panel_integrals(
-        lo, -hi, theta, np.maximum(cutoff, theta), HALF_PI - cutoff
+        lo, -hi, theta, np.maximum(cutoff, theta)
     )
     return out
 
 
-def _panel_integrals(c1, c2, a, b, gap):
+def _panel_integrals(c1, c2, a, b):
     """Gauss-Legendre integrals of h(theta; c1, c2) over [a, b], elementwise.
 
     Panels are at most 0.4 wide up to pi/2 - 0.4; past that their widths
-    halve geometrically toward ``b`` down to a floor proportional to
-    ``gap``, the distance from ``b`` to the singular point pi/2, which
-    keeps the local feature scale resolved.  An empty interval gives 0.
+    halve geometrically toward ``b`` down to a floor proportional to the
+    distance from ``b`` to the singular point pi/2, which keeps the local
+    feature scale resolved.  An empty interval gives 0.
     """
     smooth_end = np.minimum(b, np.maximum(a, _REFINE_START))
     n_smooth = np.where(
         smooth_end > a, np.maximum(1.0, np.ceil((smooth_end - a) / _PANEL_WIDTH)), 0.0
     )
     rem = b - smooth_end
-    floor = np.maximum(1e-7, 0.5 * gap)
+    floor = np.maximum(1e-7, 0.5 * (HALF_PI - b))
     # Halvings: the least m >= 0 with rem / 2^m <= floor.  The logarithm
     # can miss by one either way; the exact power-of-two tests correct it.
     with np.errstate(divide="ignore"):

@@ -130,13 +130,14 @@ def estimate_tetrachoric(
 ) -> tuple[MarginalSummary, TetrachoricMatrix]:
     """Full moment pipeline: frequencies, thresholds, pairwise inversion.
 
-    Every unordered column pair is inverted independently, so the result
-    does not depend on evaluation order or on ``threads``; row
-    permutations of the input leave it unchanged.
+    Y is read once, by ``joint_frequency_matrix``: the marginals are its
+    diagonal, the same exact counts over n as ``marginal_frequencies``,
+    so bit for bit equal to it.  Every unordered column pair is inverted
+    independently, so the result does not depend on evaluation order or
+    on ``threads``; row permutations of the input leave it unchanged.
     """
-    return tetrachoric_from_probabilities(
-        marginal_frequencies(y), joint_frequency_matrix(y), y.n, threads
-    )
+    joint = joint_frequency_matrix(y)
+    return tetrachoric_from_probabilities(np.diag(joint), joint, y.n, threads)
 
 
 def tetrachoric_from_probabilities(

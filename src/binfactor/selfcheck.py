@@ -1,9 +1,13 @@
 """Embedded numerical verification battery for the normal-tail kernel.
 
 Each check compares the kernel against an independent fact: a closed form,
-a symmetry, a finite difference, or a round trip.  The battery backs the
-``selfcheck`` CLI command and can be rerun programmatically; a perfect
-build passes all checks with generous margin.
+a symmetry, a finite difference, or a round trip.  A check evaluates its
+whole grid in one call to ``bvn_upper_tail_batch`` or
+``tetrachoric_invert_batch`` and reports the largest error; only
+``bvn_upper_tail_drho`` and ``bvn_boundary_value``, which take scalars
+alone, are called point by point.  The battery backs the ``selfcheck`` CLI
+command and can be rerun programmatically; a perfect build passes all
+checks with generous margin.
 """
 
 from __future__ import annotations
@@ -15,11 +19,11 @@ import numpy as np
 
 from .gaussian import (
     bvn_boundary_value,
-    bvn_upper_tail,
+    bvn_upper_tail_batch,
     bvn_upper_tail_drho,
     std_normal_cdf,
     std_normal_quantile,
-    tetrachoric_invert,
+    tetrachoric_invert_batch,
 )
 
 
@@ -53,103 +57,83 @@ def format_report(results: list[CheckResult]) -> str:
 
 def _check_cdf_symmetry() -> float:
     x = np.linspace(-8.0, 8.0, 321)
-    return float(np.max(np.abs(std_normal_cdf(x) + std_normal_cdf(-x) - 1.0)))
+    return _worst(std_normal_cdf(x) + std_normal_cdf(-x) - 1.0)
 
 
 def _check_quantile_round_trip() -> float:
     x = np.linspace(-5.0, 5.0, 201)
-    return float(np.max(np.abs(std_normal_quantile(std_normal_cdf(x)) - x)))
+    return _worst(std_normal_quantile(std_normal_cdf(x)) - x)
 
 
 def _check_quadrant_closed_form() -> float:
-    worst = 0.0
-    for rho in np.concatenate([[-0.99], np.arange(-0.9, 0.91, 0.1), [0.99]]):
-        exact = 0.25 + math.asin(rho) / (2.0 * math.pi)
-        worst = max(worst, abs(bvn_upper_tail(0.0, 0.0, float(rho)) - exact))
-    return worst
+    rho = np.concatenate([[-0.99], np.arange(-0.9, 0.91, 0.1), [0.99]])
+    exact = 0.25 + np.arcsin(rho) / (2.0 * math.pi)
+    return _worst(bvn_upper_tail_batch(0.0, 0.0, rho) - exact)
 
 
 def _check_independence_product() -> float:
-    worst = 0.0
-    for c1 in (-2.0, -0.7, 0.0, 0.4, 1.8):
-        for c2 in (-1.3, 0.0, 0.9, 2.2):
-            exact = float(std_normal_cdf(-c1)) * float(std_normal_cdf(-c2))
-            worst = max(worst, abs(bvn_upper_tail(c1, c2, 0.0) - exact))
-    return worst
+    c1, c2 = _grid((-2.0, -0.7, 0.0, 0.4, 1.8), (-1.3, 0.0, 0.9, 2.2))
+    exact = std_normal_cdf(-c1) * std_normal_cdf(-c2)
+    return _worst(bvn_upper_tail_batch(c1, c2, 0.0) - exact)
 
 
 def _check_derivative_fd() -> float:
     # The centered difference carries rounding noise ~ ulp(ell)/(2*step),
     # so agreement is only checkable where the derivative clears ~1e-5.
     step = 1e-5
-    worst = 0.0
-    for c1 in (-1.5, -0.5, 0.0, 1.0):
-        for c2 in (-1.0, 0.0, 0.5, 1.5):
-            for rho in (-0.9, -0.5, 0.0, 0.4, 0.8):
-                exact = bvn_upper_tail_drho(c1, c2, rho)
-                if exact <= 1e-5:
-                    continue
-                fd = (
-                    bvn_upper_tail(c1, c2, rho + step)
-                    - bvn_upper_tail(c1, c2, rho - step)
-                ) / (2.0 * step)
-                worst = max(worst, abs(fd - exact) / exact)
-    return worst
+    c1, c2, rho = _grid((-1.5, -0.5, 0.0, 1.0), (-1.0, 0.0, 0.5, 1.5), (-0.9, -0.5, 0.0, 0.4, 0.8))
+    exact = np.array([bvn_upper_tail_drho(*args) for args in zip(c1, c2, rho)])
+    fd = (
+        bvn_upper_tail_batch(c1, c2, rho + step) - bvn_upper_tail_batch(c1, c2, rho - step)
+    ) / (2.0 * step)
+    live = exact > 1e-5
+    return _worst((fd[live] - exact[live]) / exact[live])
 
 
 def _check_reflection_identity() -> float:
     # ell(c1, c2; rho) + ell(c1, -c2; -rho) = Phi(-c1): one side of each pair
     # has rho < 0, and the grid takes it both from the rho = 0 anchor and,
     # at c1 = c2 = 3 and rho near -1, down the tail branch from rho = -1.
-    worst = 0.0
-    for c1 in (-2.2, 0.4, 3.0):
-        for c2 in (-1.3, 0.9, 3.0):
-            for rho in np.linspace(-0.999, 0.999, 9):
-                total = bvn_upper_tail(c1, c2, rho) + bvn_upper_tail(c1, -c2, -rho)
-                worst = max(worst, abs(total - float(std_normal_cdf(-c1))))
-    return worst
+    c1, c2, rho = _grid((-2.2, 0.4, 3.0), (-1.3, 0.9, 3.0), np.linspace(-0.999, 0.999, 9))
+    total = bvn_upper_tail_batch(c1, c2, rho) + bvn_upper_tail_batch(c1, -c2, -rho)
+    return _worst(total - std_normal_cdf(-c1))
 
 
 def _check_boundary_consistency() -> float:
     # Coincident thresholds approach their limit at rate sqrt(1 - rho^2),
     # so the probe sits at +-(1 - 1e-12) where every case has converged.
-    rho_near = 1.0 - 1e-12
-    worst = 0.0
-    for c1 in (-1.2, -0.3, 0.0, 0.8):
-        for c2 in (-0.9, 0.0, 0.5, 1.4):
-            for sign in (1, -1):
-                limit = bvn_boundary_value(c1, c2, sign)
-                near = bvn_upper_tail(c1, c2, sign * rho_near)
-                worst = max(worst, abs(near - limit))
-    return worst
+    c1, c2, sign = _grid((-1.2, -0.3, 0.0, 0.8), (-0.9, 0.0, 0.5, 1.4), (1, -1))
+    limit = [bvn_boundary_value(*args) for args in zip(c1, c2, sign)]
+    return _worst(bvn_upper_tail_batch(c1, c2, sign * (1.0 - 1e-12)) - limit)
 
 
 def _check_inversion_round_trip() -> float:
-    worst = 0.0
-    for c1 in (-1.0, 0.0, 1.0):
-        for c2 in (-1.0, 0.0, 1.0):
-            for rho in np.arange(-0.9, 0.91, 0.1):
-                p = bvn_upper_tail(c1, c2, float(rho))
-                res = tetrachoric_invert(c1, c2, p)
-                worst = max(worst, abs(res.rho_hat - rho))
-    return worst
+    c1, c2, rho = _grid((-1.0, 0.0, 1.0), (-1.0, 0.0, 1.0), np.arange(-0.9, 0.91, 0.1))
+    rho_hat, _, _ = tetrachoric_invert_batch(c1, c2, bvn_upper_tail_batch(c1, c2, rho))
+    return _worst(rho_hat - rho)
 
 
 def _check_monotone_in_rho() -> float:
     # Strict increase is representable only while the local increment
     # exceeds one ulp; separated-threshold pairs go flat near |rho| = 1,
     # so they are probed on the narrower grid.
-    worst = 0.0
-    for c1, c2, hi in (
+    c1, c2, hi = np.array([
         (-1.0, 0.5, 0.95),
         (0.0, 0.0, 0.999),
         (1.2, -0.4, 0.95),
         (0.7, 0.7, 0.999),
-    ):
-        grid = np.linspace(-hi, hi, 401)
-        vals = np.array([bvn_upper_tail(c1, c2, float(r)) for r in grid])
-        worst = max(worst, float(np.max(-np.diff(vals))))
-    return max(0.0, worst)
+    ]).T
+    vals = bvn_upper_tail_batch(c1[:, None], c2[:, None], np.linspace(-hi, hi, 401, axis=1))
+    return max(0.0, float(np.max(-np.diff(vals, axis=1))))
+
+
+def _grid(*axes):
+    """Flat arrays of every combination of the axes' values."""
+    return [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+
+
+def _worst(errors) -> float:
+    return float(np.max(np.abs(errors)))
 
 
 _CHECKS = [

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from binfactor.cli import main
-from binfactor.model_io import read_model
+from binfactor.model_io import read_binary_matrix, read_model, write_scores
+from binfactor.scores import ScoreConfig, estimate_scores
 from binfactor.simulate import SimScenario, generate_dataset, generate_true_model
 
 
@@ -108,6 +109,32 @@ class TestScore:
         code = main(["score", "--data", str(data_csv), "--model", str(model_path),
                      "--out", str(out), "--grad-tol", tol])
         assert code == 2
+        assert not out.exists()
+
+    def test_max_iter_one_is_the_library_table(self, tmp_path, data_csv):
+        model_path = self._fit(tmp_path, data_csv)
+        out, expected = tmp_path / "s.csv", tmp_path / "expected.csv"
+        code = main(["score", "--data", str(data_csv), "--model", str(model_path),
+                     "--out", str(out), "--max-iter", "1"])
+        assert code == 0
+        scores = estimate_scores(read_binary_matrix(data_csv), read_model(model_path),
+                                 ScoreConfig(max_iter=1))
+        write_scores(scores, expected)
+        assert out.read_bytes() == expected.read_bytes()
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert all(int(row["iterations"]) <= 1 for row in rows)
+        # One step leaves rows short of the tolerance, so the cap really bit.
+        assert any(row["converged"] == "0" for row in rows)
+
+    def test_max_iter_zero_rejected_before_reading(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        missing = tmp_path / "missing.csv"
+        code = main(["score", "--data", str(missing), "--model", str(tmp_path / "m.json"),
+                     "--out", str(out), "--max-iter", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "max_iter" in err and str(missing) not in err
         assert not out.exists()
 
 
@@ -357,8 +384,8 @@ class TestSimulate:
 
 
 class TestOutDirectory:
-    """An --out that is a directory or lies in a missing one is reported
-    before the command does any work."""
+    """An --out that is empty, is a directory or lies in a missing one is
+    reported before the command does any work."""
 
     def _refuse(self, monkeypatch, name):
         import binfactor.cli as cli_mod
@@ -390,8 +417,8 @@ class TestOutDirectory:
         self._check(capsys, ["simulate", "--p", "12", "--n", "300", "--reps", "1"],
                     tmp_path / "nodir" / "m.csv")
 
-    @pytest.mark.parametrize("command", ["fit", "score", "simulate"])
-    def test_out_is_a_directory(self, tmp_path, data_csv, capsys, monkeypatch, command):
+    def _argv(self, tmp_path, data_csv, monkeypatch, command):
+        """The flags of ``command`` bar --out, with every stage refused."""
         argv = {
             "fit": ["fit", "--data", str(data_csv), "--d", "2"],
             "score": ["score", "--data", str(data_csv), "--model", str(tmp_path / "model.json")],
@@ -402,9 +429,19 @@ class TestOutDirectory:
                          "--out", str(tmp_path / "model.json")]) == 0
         for name in ("fit_model", "estimate_scores", "run_replications"):
             self._refuse(monkeypatch, name)
+        return argv
+
+    @pytest.mark.parametrize("command", ["fit", "score", "simulate"])
+    def test_out_is_a_directory(self, tmp_path, data_csv, capsys, monkeypatch, command):
+        argv = self._argv(tmp_path, data_csv, monkeypatch, command)
         out = tmp_path / "out"
         out.mkdir()
         self._check(capsys, argv, out)
+
+    @pytest.mark.parametrize("command", ["fit", "score", "simulate"])
+    def test_out_is_empty(self, tmp_path, data_csv, capsys, monkeypatch, command):
+        argv = self._argv(tmp_path, data_csv, monkeypatch, command)
+        self._check(capsys, argv, "")
 
 
 class TestRuntimeFailure:

@@ -113,6 +113,17 @@ class TestPairwiseJointFrequency:
 
 
 class TestEstimateTetrachoric:
+    @pytest.mark.parametrize("block_rows", [2**24, 64, 7])
+    def test_marginals_bitwise_the_column_means(self, monkeypatch, block_rows):
+        # The marginals come from the diagonal of the joint counts, one
+        # pass over Y; they are the same counts over n as the column means.
+        monkeypatch.setattr(moments, "_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(11)
+        data = (rng.random((300, 40)) < rng.uniform(0.02, 0.98, 40)).astype(np.uint8)
+        y = BinaryMatrix(data)
+        ms, _ = estimate_tetrachoric(y)
+        np.testing.assert_array_equal(ms.p_hat, marginal_frequencies(y))
+
     def test_symmetric_unit_diagonal(self):
         rng = np.random.default_rng(11)
         y = BinaryMatrix(rng.integers(0, 2, size=(200, 6)).astype(np.uint8))
