@@ -1,7 +1,9 @@
-"""Executor tests: slice layout, ordering, and the worker count it asks for."""
+"""Executor tests: slice layout, ordering, the worker count it asks for, and
+the BLAS thread count its pools run under."""
 
 import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -96,3 +98,96 @@ def test_stress_more_threads_than_cores(monkeypatch):
         sys.setswitchinterval(interval)
     for a, b in zip(serial, threaded):
         np.testing.assert_array_equal(a, b)
+
+
+class StubBlas:
+    """Stands in for one loaded OpenBLAS: a thread count behind get and set."""
+
+    def __init__(self, count):
+        self.count = count
+        self.sets = []
+
+    def get(self):
+        return self.count
+
+    def set(self, count):
+        self.count = count
+        self.sets.append(count)
+
+
+@pytest.fixture
+def blas(monkeypatch):
+    stub = StubBlas(4)
+    monkeypatch.setattr(parallel, "_openblas_controls", lambda: [(stub.get, stub.set)])
+    return stub
+
+
+def test_pool_workers_run_on_one_blas_thread(blas):
+    assert map_slices(lambda s: blas.count, 4, 1, threads=2) == [1, 1, 1, 1]
+    assert blas.count == 4
+    assert blas.sets == [1, 4]
+
+
+def test_blas_count_restored_when_a_slice_raises(blas):
+    def fail_on_two(s):
+        if s.start == 2:
+            raise RuntimeError("slice 2")
+        return blas.count
+
+    with pytest.raises(RuntimeError, match="slice 2"):
+        map_slices(fail_on_two, 4, 1, threads=2)
+    assert blas.count == 4
+    # The next pool limits and restores again.
+    assert map_slices(lambda s: blas.count, 2, 1, threads=2) == [1, 1]
+    assert blas.count == 4
+
+
+@pytest.mark.parametrize("n, size, threads", [(10, 4, 1), (3, 4, 8)])
+def test_inline_runs_leave_blas_alone(blas, n, size, threads):
+    assert map_slices(lambda s: blas.count, n, size, threads) == [4] * -(-n // size)
+    assert blas.sets == []
+
+
+def test_overlapping_pools_restore_the_original_count(blas):
+    # Pool A opens, pool B opens on another thread, A closes while B still
+    # runs (the limit must hold), then B closes (the count comes back).
+    a_open, b_open, a_closed = threading.Event(), threading.Event(), threading.Event()
+    seen_in_b = []
+
+    def slice_of_a(s):
+        a_open.set()
+        assert b_open.wait(10)
+        return blas.count
+
+    def slice_of_b(s):
+        b_open.set()
+        assert a_closed.wait(10)
+        seen_in_b.append(blas.count)
+
+    def run_b():
+        assert a_open.wait(10)
+        map_slices(slice_of_b, 2, 1, threads=2)
+
+    b = threading.Thread(target=run_b)
+    b.start()
+    assert map_slices(slice_of_a, 2, 1, threads=2) == [1, 1]
+    assert blas.count == 1
+    a_closed.set()
+    b.join(10)
+    assert not b.is_alive()
+    assert seen_in_b == [1, 1]
+    assert blas.count == 4
+    assert blas.sets == [1, 4]
+
+
+def test_loaded_openblas_held_and_restored():
+    # The real libraries, where this numpy and scipy load an OpenBLAS.
+    import scipy.linalg  # noqa: F401 - loads scipy's OpenBLAS as well
+
+    controls = parallel._openblas_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded")
+    before = [get() for get, _ in controls]
+    inside = map_slices(lambda s: [get() for get, _ in controls], 2, 1, threads=2)
+    assert inside == [[1] * len(controls)] * 2
+    assert [get() for get, _ in controls] == before

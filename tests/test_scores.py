@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from binfactor.gaussian import std_normal_cdf
+from binfactor import scores as scores_module
 from binfactor.moments import BinaryMatrix
 from binfactor.scores import (
     _BLOCK_ROWS,
@@ -298,6 +299,38 @@ class TestCurvature:
         else:
             assert np.isfinite(val) and val >= 0.0
 
+    def test_fractional_y_matches_closed_form(self):
+        # The numeric-Hessian tests take the likelihood and the curvature
+        # from the same kernel, so a kernel that rounded the side weights to
+        # 0 or 1 would pass them.  At fractional y the weight of a cell's
+        # large side is w = y where x >= 0 and 1 - y where x < 0, and, with
+        # a = |x| and the Mills ratios m_L = phi(a) / Phi(a) and
+        # m_S = phi(a) / Phi(-a), worked out here in 40 digits:
+        #   ll = w log Phi(a) + (1 - w) log Phi(-a)
+        #   dll/dx = sign(x) (w m_L - (1 - w) m_S)
+        #   -d2ll/dx2 = w m_L (m_L + a) + (1 - w) m_S (m_S - a)
+        model = make_model(6, 2, seed=44)
+        rng = np.random.default_rng(45)
+        sd = np.sqrt(model.tau2_hat)
+        for z in (np.array([0.4, -1.1]), np.array([-2.5, 3.0]), np.array([6.0, 5.0])):
+            y_row = rng.uniform(0.05, 0.95, size=6)
+            ll, g, curv = 0.0, np.zeros(2), np.zeros((2, 2))
+            with mp.workdps(40):
+                for j in range(6):
+                    x = (float(model.b_hat[j] @ z) - model.c_hat[j]) / sd[j]
+                    a = mp.mpf(abs(x))
+                    w = y_row[j] if x >= 0 else 1.0 - y_row[j]
+                    m_l, m_s = mp.npdf(a) / mp.ncdf(a), mp.npdf(a) / mp.ncdf(-a)
+                    bt = model.b_hat[j] / sd[j]
+                    ll += float(w * mp.log(mp.ncdf(a)) + (1 - w) * mp.log(mp.ncdf(-a)))
+                    g += float(math.copysign(1.0, x) * (w * m_l - (1 - w) * m_s)) * bt
+                    info = w * m_l * (m_l + a) + (1 - w) * m_s * (m_s - a)
+                    curv += float(info) * np.outer(bt, bt)
+            got = evaluate_row(z, model, 0.0, y_row)
+            assert got[0] == pytest.approx(ll / 6, rel=1e-13)
+            np.testing.assert_allclose(got[1], g / 6, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(got[2], curv / 6, rtol=1e-12, atol=1e-15)
+
     def test_matches_numeric_hessian_on_binary_row(self):
         model = make_model(8, 1, seed=42)
         y_row = np.random.default_rng(43).integers(0, 2, size=8)
@@ -437,6 +470,37 @@ class TestEstimateScores:
         assert a.iterations.min() < a.iterations.max()
         for field in ("z_hat", "iterations", "grad_norms", "converged"):
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_origin_table_matches_general_path(self, d, threads):
+        # With no z0 the first evaluation is a table lookup; an explicit
+        # zero start takes the kernel's general path.  Two shards and a
+        # remainder, each of several blocks.
+        y, model = self._simulated(n=2 * _SHARD_ROWS + 77, d=d, seed=32)
+        a = estimate_scores(y, model, threads=threads)
+        b = estimate_scores(y, model, z0=np.zeros((y.n, d)), threads=threads)
+        assert a.iterations.min() < a.iterations.max()
+        for field in ("z_hat", "iterations", "grad_norms", "converged"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
+    @pytest.mark.parametrize("start", ["origin", "z0"])
+    def test_row_sums_see_c_ordered_cells(self, monkeypatch, start):
+        # numpy sums a row pairwise only along contiguous memory, so every
+        # cell block reaching the row sums must be C-ordered, gathered from
+        # the table or not.
+        orders = []
+
+        def checked(ll_cells, dx, info, bt, tmp):
+            orders.append(all(c.flags.c_contiguous for c in (ll_cells, dx, info, tmp)))
+            return row_sums(ll_cells, dx, info, bt, tmp)
+
+        row_sums = scores_module._row_sums
+        monkeypatch.setattr(scores_module, "_row_sums", checked)
+        y, model = self._simulated(n=_BLOCK_ROWS + 77, seed=33)
+        z0 = None if start == "origin" else np.zeros((y.n, model.d))
+        estimate_scores(y, model, z0=z0)
+        assert len(orders) > 2 and all(orders)
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_row_scored_alone_matches_block(self, d):
