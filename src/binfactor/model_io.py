@@ -8,6 +8,7 @@ every float bit-exactly on reload.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -47,12 +48,16 @@ def read_binary_matrix(path) -> BinaryMatrix:
     be quoted or space-padded.
     """
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
         raise DataFormatError(f"{path}: cannot read data file: {exc}") from exc
-    parsed = _parse_plain(text)
+    parsed = _parse_plain(raw)
     if parsed is None:
+        try:
+            text = raw.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: cannot read data file: {exc}") from exc
         parsed = _parse_cells(path, text)
     names, data = parsed
     try:
@@ -61,31 +66,40 @@ def read_binary_matrix(path) -> BinaryMatrix:
         raise DataFormatError(f"{path}: {exc}") from exc
 
 
-def _parse_plain(text: str):
+def _parse_plain(raw: bytes):
     """(names, data) of a file whose data lines are exactly ``0,1,...,0``,
-    read as one byte array; None for any other file, which ``_parse_cells``
-    then reads or rejects."""
-    text = text.replace("\r\n", "\n")
-    head, _, rest = text.partition("\n")
-    # Quotes and lone carriage returns need the csv module's rules.
-    if not head or '"' in head or "\r" in text:
+    read from its bytes as one array; None for any other file, which
+    ``_parse_cells`` then decodes and reads or rejects."""
+    raw = raw.removeprefix(codecs.BOM_UTF8)
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n")
+    # Lone carriage returns and quotes need the csv module's rules, and
+    # other bytes than ASCII the decoder's.
+    if b"\r" in raw or not raw.isascii():
         return None
-    cells = [cell.strip() for cell in head.split(",")]
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    end = raw.index(b"\n")
+    head = raw[:end]
+    if not head or b'"' in head:
+        return None
+    cells = [cell.strip() for cell in head.decode("ascii").split(",")]
     names = None if all(_is_number(cell) for cell in cells) else tuple(cells)
-    body = (text if names is None else rest).removesuffix("\n") + "\n"
-    try:
-        raw = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
-    except UnicodeEncodeError:
+    start = 0 if names is None else end + 1
+    if start == len(raw):
         return None
-    line = body.index("\n") + 1  # two bytes per cell
-    if line % 2 or raw.size % line:
+    line = raw.index(b"\n", start) + 1 - start  # two bytes per cell
+    if line % 2 or (len(raw) - start) % line:
         return None
-    grid = raw.reshape(-1, line)
-    data = grid[:, ::2] - np.uint8(ord("0"))
-    separators = np.frombuffer(b"," * (line // 2 - 1) + b"\n", dtype=np.uint8)
-    if (data > 1).any() or (grid[:, 1::2] != separators).any():
+    # Each cell and the separator after it, read as one little-endian
+    # 16-bit number, less that of "0," ("0\n" at the end of a line) is 0
+    # or 1 for the cells "0" and "1" and larger for any other pair.
+    zeros = np.full(line // 2, ord(",") << 8 | ord("0"), dtype="<u2")
+    zeros[-1] = ord("\n") << 8 | ord("0")
+    data = np.frombuffer(raw, dtype="<u2", offset=start).reshape(-1, line // 2) - zeros
+    if data.max() > 1:
         return None
-    return names, data
+    return names, data.astype(np.uint8)
 
 
 def _parse_cells(path, text: str):
@@ -225,11 +239,17 @@ def write_scores(scores: LatentScores, path) -> None:
     header = [f"z_{k + 1}" for k in range(d)] + ["iterations", "grad_norm", "converged"]
     z_hat = np.asarray(scores.z_hat, dtype=float)
     columns = [map(repr, z_hat[:, k].tolist()) for k in range(d)]
-    columns.append(map(str, np.asarray(scores.iterations).astype(int).tolist()))
+    columns.append(_numerals(scores.iterations))
     columns.append(map(repr, np.asarray(scores.grad_norms, dtype=float).tolist()))
-    columns.append(map(str, np.asarray(scores.converged).astype(int).tolist()))
+    columns.append(_numerals(scores.converged))
     lines = [",".join(header), *map(",".join, zip(*columns))]
     _atomic_write(path, "\n".join(lines) + "\n")
+
+
+def _numerals(values) -> list:
+    """``str`` of each value as an integer, rendered once per distinct value."""
+    distinct, index = np.unique(np.asarray(values).astype(int), return_inverse=True)
+    return np.array([str(v) for v in distinct.tolist()], dtype=object)[index].tolist()
 
 
 def _is_number(cell: str) -> bool:

@@ -34,7 +34,9 @@ class BinaryMatrix:
         n, p = data.shape
         if n < 1 or p < 2:
             raise ValueError(f"need n >= 1 and p >= 2, got n={n}, p={p}")
-        if not np.isin(data, (0, 1)).all():
+        # A uint8 entry cannot be negative, so its largest one tells.
+        binary = data.max() <= 1 if data.dtype == np.uint8 else np.isin(data, (0, 1)).all()
+        if not binary:
             raise ValueError("entries must all be exactly 0 or 1")
         object.__setattr__(self, "data", np.ascontiguousarray(data, dtype=np.uint8))
         if self.column_names is not None:

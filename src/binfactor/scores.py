@@ -12,15 +12,23 @@ and Fisher scoring converges only linearly.  The maximizer is the same.)
 
 One pass per trial point and cell gives the log-likelihood, gradient and
 curvature together, in log space and with no probability floor, over
-blocks of 1024 rows; each row is summed along its own contiguous
-components, so its bits do not depend on the block.  The pass writes its
-temporaries into buffers that its shard allocates once.  At the origin a
-cell takes one of two values per column, so the first evaluation of an
-ascent from there gathers them from a table.  The ascent keeps the values
-for each accepted point, and retires a row whose step leaves it in place (a
-stalled row).  Rows are cut into fixed shards of 8192; each shard runs its
-whole ascent on its own, on up to ``threads`` threads, and a row's steps
-are its own, so the scores are bitwise the same at any thread count.
+blocks of rows that hold about 2^16 cells (max(1, 2^16 // m) rows of m
+included components).  Each row's weighted sums are one ``einsum``
+contraction along its own contiguous components, so its bits do not
+depend on the block.  The pass writes its temporaries into buffers that
+its shard allocates once.  At the origin a cell takes one of two values
+per column, so the first evaluation of an ascent from there gathers them
+from a table.  The ascent keeps the values for each accepted point, and
+retires a row whose step leaves it in place (a stalled row).
+
+A row whose Newton step is certified, by the Lipschitz bound on the
+curvature, to land where the gradient norm is within the tolerance takes
+that step and converges without the evaluation that would confirm it; its
+reported gradient norm is then that upper bound, not a measured norm.
+
+Rows are cut into fixed shards of 8 blocks; each shard runs its whole
+ascent on its own, on up to ``threads`` threads, and a row's steps are its
+own, so the scores are bitwise the same at any thread count.
 """
 
 from __future__ import annotations
@@ -37,12 +45,18 @@ from .spectral import FactorModel
 
 _ALPHA_MIN = 1e-12  # smallest step-halving factor before a step is abandoned
 
-# Rows per kernel pass: its eleven (rows x components) buffers stay at a
-# few megabytes whatever n is.
-_BLOCK_ROWS = 1024
-# Rows per shard, the unit of the scoring threads: each shard runs its own
+# Cells per kernel pass: a block holds max(1, budget // m) rows of m
+# included components, so each of its float temporaries stays at 512 KB
+# whatever n and m are.
+_CELL_BUDGET = 2**16
+# Blocks per shard, the unit of the scoring threads: each shard runs its own
 # whole ascent, so the threads share no per-step barrier.
-_SHARD_ROWS = 8192
+_SHARD_BLOCKS = 8
+# max |psi'''| for psi = log Phi (0.295719 at x = 1.0024), rounded up.  A
+# cell's third derivative in x is at most this at any y in [0, 1].
+_PSI3_MAX = 0.2958
+# Rounding of one cell's dx, in ulps, on top of a row sum's m.
+_CELL_ULPS = 64
 _LOG_SPACE_MAX = 5.0  # |x| past which the kernel's tail values use erfcx
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -69,7 +83,12 @@ class ScoreConfig:
 
 @dataclass(frozen=True)
 class LatentScores:
-    """Estimated factors with per-sample convergence records."""
+    """Estimated factors with per-sample convergence records.
+
+    ``grad_norms`` holds each row's gradient norm of ll / p where it
+    stopped: measured, or, for a row whose last step was certified rather
+    than evaluated, the certified upper bound on it.
+    """
 
     z_hat: np.ndarray
     iterations: np.ndarray
@@ -112,10 +131,14 @@ def estimate_scores(
     step solves that system and is halved until the likelihood does not
     decrease, so the per-row likelihood path is non-decreasing.  A row
     stops once its gradient norm falls below ``cfg.grad_tol`` or after
-    ``cfg.max_iter`` steps.  A row whose step leaves it in place (halving found no better
-    point) stops too, since every later step would repeat it; it keeps
-    ``converged=False``, its gradient norm and the steps it took.  Rows are
-    independent; the result does not depend on their order or on
+    ``cfg.max_iter`` steps.  When a bound on the gradient norm after a full
+    step is already within ``cfg.grad_tol``, and the step surely raises
+    the likelihood, the row takes the step and stops there with that bound
+    as its ``grad_norms`` entry, which spares the evaluation that would
+    only confirm it.  A row whose step leaves it in place (halving found no
+    better point) stops too, since every later step would repeat it; it
+    keeps ``converged=False``, its gradient norm and the steps it took.
+    Rows are independent; the result does not depend on their order or on
     ``threads``, the number of threads that run the row shards.
 
     Rows start at the origin, or at their rows of ``z0`` (n x d, finite).
@@ -144,7 +167,7 @@ def estimate_scores(
     y_incl = np.ascontiguousarray(y.data[:, incl.mask])
     shards = map_slices(
         lambda s: _ascend(z[s], y_incl[s], incl, model.p, cfg, z0 is None),
-        n, _SHARD_ROWS, threads,
+        n, _SHARD_BLOCKS * incl.block_rows, threads,
     )
     iters, gnorm, conv = (np.concatenate(records) for records in zip(*shards))
     return LatentScores(z_hat=z, iterations=iters, grad_norms=gnorm, converged=conv)
@@ -169,61 +192,146 @@ def _ascend(z, y_incl, incl: _Inclusion, p: int, cfg: ScoreConfig, at_origin: bo
     gnorm = np.zeros(n)
     conv = np.zeros(n, dtype=bool)
     active = np.arange(n)
-    work = _workspace(min(n, _BLOCK_ROWS), incl.ct.size)
-    # The log-likelihood, gradient and curvature of each row's current point.
+    work = _workspace(min(n, incl.block_rows), incl.ct.size)
+    # The log-likelihood, gradient and curvature of each active row's
+    # current point, in the order of ``active``.
     if at_origin:
         ll, g, curv = _evaluate_origin(y_incl, incl, p, work)
     else:
         ll, g, curv = _evaluate(z, y_incl, active, incl, p, work)
 
     steps = 0
-    while active.size:
-        gn = np.linalg.norm(g[active], axis=1)
-        done = gn <= cfg.grad_tol
+    retired = np.zeros(n, dtype=bool)  # rows certified or stalled by the last step
+    while True:
+        gn = np.linalg.norm(g, axis=1)
+        done = (gn <= cfg.grad_tol) & ~retired
         gnorm[active[done]] = gn[done]
         conv[active[done]] = True
-        active, gn = active[~done], gn[~done]
+        active, gn, ll, g, curv = _keep(~(done | retired), active, gn, ll, g, curv)
         if active.size == 0:
             break
         if steps >= cfg.max_iter:
             gnorm[active] = gn
             break
         steps += 1
+        iters[active] = steps
 
-        step = _solve_steps(curv[active], g[active])
+        step = _solve_steps(curv, g)
         z_cur = z[active]
+        # A row whose full step is certified to end within the tolerance
+        # takes it, as an accepted full step would, and converges without
+        # the evaluation that would only confirm it.
+        sure, bound = _certify(ll, g, curv, step, z_cur, incl, cfg.grad_tol)
+        z[active[sure]] = z_cur[sure] + step[sure]
+        gnorm[active[sure]] = bound[sure]
+        conv[active[sure]] = True
 
         # Step halving until the likelihood does not decrease, per row.  A
         # row that never finds such a point keeps its position.
         alpha = 1.0
-        trial = np.arange(active.size)
-        while True:
-            rows = active[trial]
+        trial = np.flatnonzero(~sure)
+        while trial.size:
             z_try = z_cur[trial] + alpha * step[trial]
-            ll_try, g_try, curv_try = _evaluate(z_try, y_incl, rows, incl, p, work)
-            ok = ll_try >= ll[rows]
-            z[rows[ok]] = z_try[ok]
-            ll[rows[ok]], g[rows[ok]], curv[rows[ok]] = ll_try[ok], g_try[ok], curv_try[ok]
+            ll_try, g_try, curv_try = _evaluate(z_try, y_incl, active[trial], incl, p, work)
+            ok = ll_try >= ll[trial]
+            moved = trial[ok]
+            z[active[moved]] = z_try[ok]
+            ll[moved], g[moved], curv[moved] = ll_try[ok], g_try[ok], curv_try[ok]
             trial = trial[~ok]
-            if trial.size == 0 or alpha <= _ALPHA_MIN:
+            if alpha <= _ALPHA_MIN:
                 break
             alpha *= 0.5
 
-        iters[active] = steps
-        stalled = np.all(z[active] == z_cur, axis=1)
+        stalled = np.all(z[active] == z_cur, axis=1) & ~sure
         gnorm[active[stalled]] = gn[stalled]
-        active = active[~stalled]
+        retired = sure | stalled
     return iters, gnorm, conv
+
+
+def _keep(mask, *arrays):
+    """The rows ``mask`` selects of each array; the arrays themselves when it selects all."""
+    if mask.all():
+        return arrays
+    return tuple(a[mask] for a in arrays)
+
+
+def _certify(ll, g, curv, step, z, incl: _Inclusion, tol: float):
+    """Rows whose full Newton step from ``z`` provably ends the ascent, and
+    their bounds on the gradient norm there (inf on the other rows).
+
+    For f = ll / p with curvature H = -Hess f, the Hessian of f is
+    Lipschitz with constant L = ``incl.lipschitz``, so the gradient at
+    z + s is within (L/2)|s|^2 of g - H s (Nesterov 2004, Lemma 1.2.4):
+
+        |grad f(z + s)| <= |g - H s| + (L/2)|s|^2 + rounding,
+
+    where the rounding covers the computed g and H, the rounding of z + s
+    itself and the gradient that an evaluation there would compute.  A row
+    is certified when that bound is at most ``tol`` and the step's rise, at
+    least g.s/2 + s.(g - H s)/2 - (L/6)|s|^3 less the same rounding,
+    exceeds the rounding of two computed ll: the halving test would then
+    accept z + s and the evaluation there would stop the row.
+
+    The weighted row sums are sequential, so each errs by at most
+    (m + ``_CELL_ULPS``) ulps of the sum of its terms' magnitudes (Higham
+    2002, ch. 4).  For the gradient that sum is at most
+    sqrt(-2 f K2) + 2 K1, with K1 and K2 the means over p of |bt_j| and
+    |bt_j|^2, since a cell's |dx| is at most sqrt(2 |ll cell|) + 2.  The
+    curvature cells lie in [0, 1], so |H| <= K2, and err by at most 1e-12
+    relative.  numpy sums the ll cells pairwise, in eight interleaved
+    partial sums below 128 cells, so ll errs by at most m/8 + 16 ulps of -f.
+    """
+    sn = np.linalg.norm(step, axis=1)
+    lip = incl.lipschitz
+    bound = np.full(len(sn), np.inf)
+    near = np.flatnonzero(0.5 * lip * sn * sn <= tol)
+    ll, g, curv, step, z, sn = ll[near], g[near], curv[near], step[near], z[near], sn[near]
+
+    m = incl.ct.size
+    eps = np.finfo(float).eps
+    k1, k2 = incl.norm_means
+    rn = np.linalg.norm(g - np.einsum("ijk,ik->ij", curv, step), axis=1)
+    err_g = (m + _CELL_ULPS) * eps * (np.sqrt(-2.0 * k2 * ll) + 2.0 * k1)
+    err_h = ((m + _CELL_ULPS) * eps + 1e-12) * k2
+    err_z = eps * k2 * np.linalg.norm(z + step, axis=1)
+    bound[near] = rn + 2.0 * err_g + err_z + sn * (err_h + 0.5 * lip * sn)
+    rise = 0.5 * (np.einsum("ij,ij->i", g, step) - sn * rn) - sn * (
+        err_g + sn * (0.5 * err_h + lip / 6.0 * sn)
+    )
+    sure = bound <= tol
+    sure[near] &= rise > -2.0 * (m / 8 + 16) * eps * ll
+    return sure, bound
 
 
 @dataclass(frozen=True)
 class _Inclusion:
-    """Included components in noise units: ``bt`` (d x m) holds the
-    loadings over the noise scales and ``ct`` (m,) the thresholds."""
+    """Included components in noise units.
+
+    ``affine`` ((d + 1) x m) stacks ``bt`` (d x m), the loadings over the
+    noise scales, on ``ct`` (m,), the thresholds.  ``pairs``
+    (d(d+1)/2 x m) holds the products bt_k bt_l for k <= l, which the
+    curvature sums take as weights, and ``unpack`` (d x d) places those
+    sums in the symmetric matrix.  A kernel block holds ``block_rows``
+    rows.  ``lipschitz`` bounds the Lipschitz constant of the Hessian of
+    ll / p, and ``norm_means`` holds the means over p of |bt_j| and
+    |bt_j|^2 (see ``_certify``).
+    """
 
     mask: np.ndarray
-    bt: np.ndarray
-    ct: np.ndarray
+    affine: np.ndarray
+    pairs: np.ndarray
+    unpack: np.ndarray
+    block_rows: int
+    lipschitz: float
+    norm_means: tuple
+
+    @property
+    def bt(self) -> np.ndarray:
+        return self.affine[:-1]
+
+    @property
+    def ct(self) -> np.ndarray:
+        return self.affine[-1]
 
 
 def _inclusion(model: FactorModel, tau: float) -> _Inclusion:
@@ -233,10 +341,22 @@ def _inclusion(model: FactorModel, tau: float) -> _Inclusion:
     # produces for usable variances, so it is excluded outright.
     mask = (tau_sd > tau) & (tau_sd > 0.0)
     scale = tau_sd[mask]
+    # C order: the einsum contractions' order follows the operands' layout.
+    bt_ct = ((model.b_hat[mask] / scale[:, None]).T, model.c_hat[mask] / scale)
+    affine = np.ascontiguousarray(np.vstack(bt_ct))
+    bt = affine[:-1]
+    k, l = np.tril_indices(model.d)
+    unpack = np.empty((model.d, model.d), dtype=int)
+    unpack[k, l] = unpack[l, k] = np.arange(k.size)
+    norms = np.linalg.norm(bt, axis=0)
     return _Inclusion(
         mask=mask,
-        bt=(model.b_hat[mask] / scale[:, None]).T.copy(),
-        ct=model.c_hat[mask] / scale,
+        affine=affine,
+        pairs=bt[k] * bt[l],
+        unpack=unpack,
+        block_rows=max(1, _CELL_BUDGET // max(bt.shape[1], 1)),
+        lipschitz=_PSI3_MAX * float(np.sum(norms**3)) / model.p,
+        norm_means=(float(norms.sum()) / model.p, float(np.sum(norms**2)) / model.p),
     )
 
 
@@ -254,11 +374,18 @@ def _evaluate(z, y_incl, rows, incl: _Inclusion, p: int, work=None):
     (n,), (n, d) and (n, d, d), computed in blocks of rows; a row's values
     depend only on its own point and data, not on the block it is in.
     """
-    work = work or _workspace(min(len(z), _BLOCK_ROWS), incl.ct.size)
+    work = work or _workspace(min(len(z), incl.block_rows), incl.ct.size)
+    z1 = _homogeneous(z)
     return _by_blocks(
         len(z), incl, p, work,
-        lambda s, e, floats, flags: _kernel(z[s:e], y_incl[rows[s:e]], incl, floats, flags),
+        lambda s, e, floats, flags: _kernel(z1[s:e], y_incl[rows[s:e]], incl, floats, flags),
     )
+
+
+def _homogeneous(z):
+    """The points ``z`` (n x d) with a last coordinate of -1, so that
+    ``incl.affine`` maps each to its x = bt . z - ct."""
+    return np.concatenate((z, np.full((len(z), 1), -1.0)), axis=1)
 
 
 def _evaluate_origin(y_incl, incl: _Inclusion, p: int, work):
@@ -271,11 +398,12 @@ def _evaluate_origin(y_incl, incl: _Inclusion, p: int, work):
     """
     d, m = incl.bt.shape
     both = np.repeat(np.arange(2, dtype=np.uint8)[:, None], m, axis=1)
-    table = [c.copy() for c in _kernel(np.zeros((2, d)), both, incl, *_workspace(2, m))]
+    origin = np.repeat(_homogeneous(np.zeros((1, d))), 2, axis=0)
+    table = [c.copy() for c in _kernel(origin, both, incl, *_workspace(2, m))]
     return _by_blocks(
         len(y_incl), incl, p, work,
         lambda s, e, floats, flags: [
-            _pick(y_incl[s:e], pair, out) for pair, out in zip(table, floats[1:])
+            _pick(y_incl[s:e], pair, out) for pair, out in zip(table, floats)
         ],
     )
 
@@ -284,17 +412,16 @@ def _by_blocks(n: int, incl: _Inclusion, p: int, work, cells):
     """Row sums over p of ``cells(s, e, floats, flags)``, block by block.
 
     ``cells`` returns the (ll, dx, curvature) cells of rows s:e, written
-    into the block's buffers other than ``floats[0]``, the row sums' own.
+    into the block's buffers.
     """
-    d = incl.bt.shape[0]
     ll = np.empty(n)
-    g = np.empty((n, d))
-    curv = np.empty((n, d, d))
-    for s in range(0, n, _BLOCK_ROWS):
-        e = min(s + _BLOCK_ROWS, n)
+    g = np.empty((n, incl.bt.shape[0]))
+    packed = np.empty((n, len(incl.pairs)))
+    for s in range(0, n, incl.block_rows):
+        e = min(s + incl.block_rows, n)
         floats, flags = (buf[:, : e - s] for buf in work)
-        ll[s:e], g[s:e], curv[s:e] = _row_sums(*cells(s, e, floats, flags), incl.bt, floats[0])
-    return ll / p, g / p, curv / p
+        _row_sums(*cells(s, e, floats, flags), incl, ll[s:e], g[s:e], packed[s:e])
+    return ll / p, g / p, packed[:, incl.unpack] / p
 
 
 def _pick(y, pair, out):
@@ -311,9 +438,10 @@ def _pick(y, pair, out):
     return out
 
 
-def _kernel(z, y, incl: _Inclusion, floats, flags):
+def _kernel(z1, y, incl: _Inclusion, floats, flags):
     """Per-cell log-likelihood, x-derivative and observed curvature of a
-    block: points ``z`` (rows x d), data ``y`` (rows x components).
+    block: points ``z1`` (rows x d + 1, see ``_homogeneous``), data ``y``
+    (rows x components).
 
     Cell (i, j) adds y log Phi(x) + (1 - y) log Phi(-x), x = bt_j . z_i - ct_j.
     With a = |x|, ``ndtr(-a)`` gives Phi(-a) to full relative precision
@@ -335,17 +463,13 @@ def _kernel(z, y, incl: _Inclusion, floats, flags):
     into the buffers ``floats`` (9 x rows x components) and ``flags``
     (2 x rows x components); the three results are views of them.  Each
     value takes the same floating-point operations in the same order as the
-    plain expressions in the comments.  The product x is written out, not
-    left to BLAS.  A cell's values depend only on its own x and y, which
+    plain expressions in the comments.  The product x is one ``einsum``
+    that adds bt_1 z_1, ..., bt_d z_d and -ct in turn, not BLAS.  A cell's values depend only on its own x and y, which
     ``_evaluate_origin`` relies on.
     """
-    d = z.shape[1]
     x, tail, log_small, mills_small, log_large, mills_large, w, w_small, sign = floats
     neg, far = flags
-    np.multiply(z[:, 0:1], incl.bt[0], out=x)
-    for k in range(1, d):
-        x += np.multiply(z[:, k : k + 1], incl.bt[k], out=tail)
-    x -= incl.ct
+    np.einsum("ik,kj->ij", z1, incl.affine, out=x)  # bt . z - ct, in that order
     np.less(x, 0.0, out=neg)
     a = np.abs(x, out=x)
     ndtr(np.negative(a, out=tail), out=tail)  # Phi(-a)
@@ -395,20 +519,17 @@ def _kernel(z, y, incl: _Inclusion, floats, flags):
     return log_large, dx, info
 
 
-def _row_sums(ll_cells, dx, info, bt, tmp):
-    """Each row's sums of the cells: ll, gradient and curvature (d x d).
+def _row_sums(ll_cells, dx, info, incl: _Inclusion, ll, g, packed):
+    """Each row's sums of the cells, into ``ll``, ``g`` and ``packed``.
 
-    Each row is summed along its own contiguous components, so its bits do
-    not depend on the block; ``tmp`` is a spare buffer of the cells' shape.
+    ``packed`` holds the curvature sums against ``incl.pairs``.  The two
+    weighted sums are one ``einsum`` contraction each, not a BLAS product,
+    whose path depends on the number of rows: each row is summed along its
+    own contiguous components, so its bits do not depend on the block.
     """
-    rows, d = len(ll_cells), bt.shape[0]
-    g = np.empty((rows, d))
-    curv = np.empty((rows, d, d))
-    for k in range(d):
-        g[:, k] = np.multiply(dx, bt[k], out=tmp).sum(axis=1)
-        for l in range(k + 1):
-            curv[:, k, l] = curv[:, l, k] = np.multiply(info, bt[k] * bt[l], out=tmp).sum(axis=1)
-    return ll_cells.sum(axis=1), g, curv
+    ll_cells.sum(axis=1, out=ll)
+    np.einsum("ij,kj->ik", dx, incl.bt, out=g)
+    np.einsum("ij,kj->ik", info, incl.pairs, out=packed)
 
 
 def _solve_steps(curv: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 from .gaussian import bvn_upper_tail_batch, std_normal_cdf
 from .moments import BinaryMatrix, TetrachoricMatrix, estimate_tetrachoric
 from .parallel import map_slices
-from .scores import LatentScores, ScoreConfig, estimate_scores
+from .scores import LatentScores, ScoreConfig, estimate_scores, reconstruct
 from .spectral import (
     FactorModel,
     fit_from_tetrachoric,
@@ -155,7 +155,7 @@ def metric_med_err(
     z_true: np.ndarray,
 ) -> float:
     """Median over samples of p^{-1/2} || b_hat z_hat_i - b z_i ||."""
-    diff = scores.z_hat @ model.b_hat.T - z_true @ tm.b.T
+    diff = reconstruct(model, scores) - z_true @ tm.b.T
     return float(np.median(np.linalg.norm(diff, axis=1))) / np.sqrt(model.p)
 
 

@@ -145,9 +145,10 @@ class TestThreads:
         from binfactor import gaussian, scores
 
         # p = 10 has 45 pairs and the data 100 rows: small units make
-        # several of each, so two threads really split the work.
+        # several of each, so two threads really split the work.  A budget
+        # of 18 cells makes blocks of 2 rows of the 9 included columns.
         monkeypatch.setattr(gaussian, "_CHUNK_PAIRS", 8)
-        monkeypatch.setattr(scores, "_SHARD_ROWS", 16)
+        monkeypatch.setattr(scores, "_CELL_BUDGET", 18)
         outputs = []
         for threads in ("1", "2"):
             model, table = tmp_path / f"m{threads}.json", tmp_path / f"s{threads}.csv"

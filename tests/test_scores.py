@@ -5,14 +5,15 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binfactor.gaussian import std_normal_cdf
 from binfactor import scores as scores_module
 from binfactor.moments import BinaryMatrix
 from binfactor.scores import (
-    _BLOCK_ROWS,
     _LOG_SPACE_MAX,
-    _SHARD_ROWS,
+    _certify,
     _evaluate,
     _inclusion,
     _solve_steps,
@@ -80,6 +81,14 @@ def likelihood_path(y, model):
         estimate_scores(y, model, ScoreConfig(max_iter=k)).z_hat for k in range(1, steps + 1)
     ]
     return np.stack([evaluate_rows(z, model, tau, y.data)[0] for z in states])
+
+
+@pytest.fixture
+def blocks_of_1024(monkeypatch):
+    """Kernel blocks of 1024 rows, and shards of ``_SHARD_BLOCKS`` of them,
+    for the 9 included columns of ``TestEstimateScores._simulated``."""
+    monkeypatch.setattr(scores_module, "_CELL_BUDGET", 1024 * 9)
+    return 1024, 1024 * scores_module._SHARD_BLOCKS
 
 
 class TestScoreConfig:
@@ -447,10 +456,11 @@ class TestEstimateScores:
         with pytest.raises(ValueError):
             estimate_scores(y, bad)
 
-    def test_row_order_independence(self):
+    def test_row_order_independence(self, blocks_of_1024):
         # More rows than one kernel block, so rows change blocks as well as
         # places; a row's arithmetic does not depend on either.
-        y, model = self._simulated(n=2 * _BLOCK_ROWS + 77, seed=27)
+        block, _ = blocks_of_1024
+        y, model = self._simulated(n=2 * block + 77, seed=27)
         perm = np.random.default_rng(28).permutation(y.n)
         a = estimate_scores(y, model)
         b = estimate_scores(BinaryMatrix(y.data[perm]), model)
@@ -458,10 +468,11 @@ class TestEstimateScores:
         np.testing.assert_array_equal(a.iterations[perm], b.iterations)
 
     @pytest.mark.parametrize("start", ["origin", "z0"])
-    def test_bitwise_across_threads(self, start):
+    def test_bitwise_across_threads(self, start, blocks_of_1024):
         # Two full shards and a remainder; a shard's rows take their own
         # number of steps whichever thread runs it.
-        y, model = self._simulated(n=2 * _SHARD_ROWS + 77, seed=30)
+        _, shard = blocks_of_1024
+        y, model = self._simulated(n=2 * shard + 77, seed=30)
         z0 = None
         if start == "z0":
             z0 = np.random.default_rng(31).uniform(-2.0, 2.0, (y.n, model.d))
@@ -473,11 +484,12 @@ class TestEstimateScores:
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("d", [1, 3])
-    def test_origin_table_matches_general_path(self, d, threads):
+    def test_origin_table_matches_general_path(self, d, threads, blocks_of_1024):
         # With no z0 the first evaluation is a table lookup; an explicit
         # zero start takes the kernel's general path.  Two shards and a
         # remainder, each of several blocks.
-        y, model = self._simulated(n=2 * _SHARD_ROWS + 77, d=d, seed=32)
+        _, shard = blocks_of_1024
+        y, model = self._simulated(n=2 * shard + 77, d=d, seed=32)
         a = estimate_scores(y, model, threads=threads)
         b = estimate_scores(y, model, z0=np.zeros((y.n, d)), threads=threads)
         assert a.iterations.min() < a.iterations.max()
@@ -485,30 +497,33 @@ class TestEstimateScores:
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
     @pytest.mark.parametrize("start", ["origin", "z0"])
-    def test_row_sums_see_c_ordered_cells(self, monkeypatch, start):
-        # numpy sums a row pairwise only along contiguous memory, so every
-        # cell block reaching the row sums must be C-ordered, gathered from
-        # the table or not.
+    def test_row_sums_see_c_ordered_cells(self, monkeypatch, start, blocks_of_1024):
+        # numpy sums a row pairwise only along contiguous memory, and einsum
+        # follows its operands' layout, so every cell block reaching the
+        # row sums must be C-ordered, gathered from the table or not.
         orders = []
 
-        def checked(ll_cells, dx, info, bt, tmp):
-            orders.append(all(c.flags.c_contiguous for c in (ll_cells, dx, info, tmp)))
-            return row_sums(ll_cells, dx, info, bt, tmp)
+        def checked(ll_cells, dx, info, *rest):
+            orders.append(all(c.flags.c_contiguous for c in (ll_cells, dx, info)))
+            return row_sums(ll_cells, dx, info, *rest)
 
         row_sums = scores_module._row_sums
         monkeypatch.setattr(scores_module, "_row_sums", checked)
-        y, model = self._simulated(n=_BLOCK_ROWS + 77, seed=33)
+        block, _ = blocks_of_1024
+        y, model = self._simulated(n=block + 77, seed=33)
         z0 = None if start == "origin" else np.zeros((y.n, model.d))
         estimate_scores(y, model, z0=z0)
         assert len(orders) > 2 and all(orders)
 
-    @pytest.mark.parametrize("d", [1, 3])
-    def test_row_scored_alone_matches_block(self, d):
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_row_scored_alone_matches_block(self, d, monkeypatch):
         # A block of one row sums that row's components as a full block
-        # does.  The farthest row ends with a cell past the erfcx switch.
+        # does, whether the row is scored alone or every block holds one
+        # row.  The farthest row ends with a cell past the erfcx switch.
         y, model = self._simulated(d=d, seed=29)
         block = estimate_scores(y, model)
         incl = _inclusion(model, select_tau_threshold(model.tau2_hat, 90.0))
+        assert incl.block_rows >= y.n
         x_max = np.abs(block.z_hat @ incl.bt - incl.ct).max(axis=1)
         far = int(np.argmax(x_max))
         assert x_max[far] > _LOG_SPACE_MAX
@@ -517,6 +532,30 @@ class TestEstimateScores:
             np.testing.assert_array_equal(alone.z_hat[0], block.z_hat[i])
             np.testing.assert_array_equal(alone.iterations[0], block.iterations[i])
             np.testing.assert_array_equal(alone.grad_norms[0], block.grad_norms[i])
+        monkeypatch.setattr(scores_module, "_CELL_BUDGET", 1)
+        for start in (None, np.zeros((y.n, d))):
+            single = estimate_scores(y, model, z0=start)
+            for field in ("z_hat", "iterations", "grad_norms", "converged"):
+                np.testing.assert_array_equal(getattr(single, field), getattr(block, field))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_wide_rows_span_shards(self, threads, monkeypatch):
+        # At m >= 600 the cell budget leaves a block about a hundred rows,
+        # and a budget of 3 m leaves it three; n spans several shards under
+        # both.  The layout and the thread count leave every bit alone.
+        y, model = self._simulated(n=2000, p=700, d=3, seed=34)
+        incl = _inclusion(model, select_tau_threshold(model.tau2_hat, 90.0))
+        m = incl.ct.size
+        assert m >= 600 and incl.block_rows == scores_module._CELL_BUDGET // m
+        assert y.n > 2 * scores_module._SHARD_BLOCKS * incl.block_rows
+        default = estimate_scores(y, model, threads=threads)
+        monkeypatch.setattr(scores_module, "_CELL_BUDGET", 3 * m)
+        few = estimate_scores(y, model, threads=threads)
+        reference = estimate_scores(y, model, threads=1)
+        assert default.converged.all() and default.iterations.min() < default.iterations.max()
+        for field in ("z_hat", "iterations", "grad_norms", "converged"):
+            np.testing.assert_array_equal(getattr(default, field), getattr(few, field))
+            np.testing.assert_array_equal(getattr(few, field), getattr(reference, field))
 
     def test_stalled_rows_retire(self):
         # Below the rounding of the likelihood most rows cannot meet the
@@ -530,6 +569,90 @@ class TestEstimateScores:
         np.testing.assert_array_equal(a.z_hat, b.z_hat)
         np.testing.assert_array_equal(a.iterations, b.iterations)
         np.testing.assert_array_equal(a.grad_norms, b.grad_norms)
+
+
+class TestCertifiedStep:
+    """The last Newton step taken without the evaluation that confirms it."""
+
+    def test_psi3_max_against_mpmath(self):
+        # psi = log Phi has psi' = lam = phi / Phi, psi'' = -lam (lam + x)
+        # and psi''' = lam (lam + x) (2 lam + x) - lam; its largest size is
+        # near x = 1.  A cell weighted w and 1 - w is bounded by the same.
+        worst = 0.0
+        with mp.workdps(30):
+            for k in range(801):
+                x = mp.mpf(-20) + mp.mpf(k) / 20
+                lam = mp.npdf(x) / mp.ncdf(x)
+                worst = max(worst, abs(float(lam * (lam + x) * (2 * lam + x) - lam)))
+        assert worst <= scores_module._PSI3_MAX
+        assert worst > scores_module._PSI3_MAX - 1e-4
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        p=st.integers(2, 40),
+        d=st.integers(1, 3),
+        n=st.integers(1, 12),
+        scale=st.floats(-14.0, -1.0),
+    )
+    def test_bound_covers_measured_gradient(self, seed, p, d, n, scale):
+        # Points near each row's maximizer, where the rule certifies most
+        # rows at a loose tolerance: on every certified row the bound is at
+        # least the gradient norm an evaluation at z + s measures, and the
+        # likelihood there does not fall.
+        d = min(d, p)
+        model = make_model(p, d, seed)
+        rng = np.random.default_rng(seed)
+        y = BinaryMatrix(rng.integers(0, 2, size=(n, p)).astype(np.uint8))
+        tight = estimate_scores(y, model, ScoreConfig(grad_tol=1e-12))
+        z = tight.z_hat + rng.standard_normal((n, d)) * 10.0**scale
+        incl = _inclusion(model, select_tau_threshold(model.tau2_hat, 90.0))
+        y_incl = y.data[:, incl.mask]
+        rows = np.arange(n)
+        ll, g, curv = _evaluate(z, y_incl, rows, incl, p)
+        step = _solve_steps(curv, g)
+        sure, bound = _certify(ll, g, curv, step, z, incl, 1e-4)
+        ll_new, g_new, _ = _evaluate(z + step, y_incl, rows, incl, p)
+        assert np.all(np.linalg.norm(g_new, axis=1)[sure] <= bound[sure])
+        assert np.all(ll_new[sure] >= ll[sure])
+
+    @pytest.mark.parametrize("start", ["origin", "z0"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_uncertified_run(self, monkeypatch, d, start):
+        # With the curvature's Lipschitz bound infinite no row is certified
+        # and every row confirms its last step by an evaluation.  Both runs
+        # take the same steps to the same points; a certified row reports
+        # its bound, which is at least the measured norm and within the
+        # tolerance.
+        y, model = TestEstimateScores()._simulated(n=1500, p=30, d=d, seed=35)
+        z0 = None if start == "origin" else np.random.default_rng(36).uniform(-1, 1, (y.n, d))
+        certified = estimate_scores(y, model, z0=z0)
+        monkeypatch.setattr(scores_module, "_PSI3_MAX", math.inf)
+        evaluated = estimate_scores(y, model, z0=z0)
+        for field in ("z_hat", "iterations", "converged"):
+            np.testing.assert_array_equal(getattr(certified, field), getattr(evaluated, field))
+        moved = certified.grad_norms != evaluated.grad_norms
+        assert moved.mean() > 0.5
+        assert np.all(certified.grad_norms[moved] >= evaluated.grad_norms[moved])
+        assert np.all(certified.grad_norms[certified.converged] <= ScoreConfig().grad_tol)
+
+    def test_floored_noise_never_certified(self, monkeypatch):
+        # Noise variances at the 1e-10 floor put the loadings over tau near
+        # 1e5 and L near 1e14: no step is short enough to certify, so the
+        # scores are those of the uncertified run in every field.
+        y, model = TestEstimateScores()._simulated(n=300, p=6, d=2, seed=37)
+        floored = FactorModel(
+            d=2, p=6, c_hat=model.c_hat, b_hat=model.b_hat, tau2_hat=np.full(6, 1e-10),
+            eigvals=model.eigvals,
+        )
+        cfg = ScoreConfig(m_percent=100.0)
+        assert _inclusion(floored, select_tau_threshold(floored.tau2_hat, 100.0)).lipschitz > 1e12
+        a = estimate_scores(y, floored, cfg)
+        monkeypatch.setattr(scores_module, "_PSI3_MAX", math.inf)
+        b = estimate_scores(y, floored, cfg)
+        assert a.iterations.max() > 5
+        for field in ("z_hat", "iterations", "grad_norms", "converged"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
 
 def solve_steps_by_row(curv, g):
