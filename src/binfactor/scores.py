@@ -13,12 +13,12 @@ and Fisher scoring converges only linearly.  The maximizer is the same.)
 One pass per trial point and cell gives the log-likelihood, gradient and
 curvature together, in log space and with no probability floor, over
 blocks of rows that hold about 2^16 cells (max(1, 2^16 // m) rows of m
-included components).  Each row's weighted sums are one ``einsum``
-contraction along its own contiguous components, so its bits do not
-depend on the block.  The pass writes its temporaries into buffers that
-its shard allocates once.  At the origin a cell takes one of two values
-per column, so the first evaluation of an ascent from there gathers them
-from a table.  The ascent keeps the values for each accepted point, and
+included components, at most 8,192).  Each row's weighted sums are one
+``einsum`` contraction along its own contiguous components, so its bits
+do not depend on the block.  The pass writes its temporaries into
+buffers that its shard allocates once.  At the origin a cell takes one
+of two values per column, so the first evaluation of an ascent from there
+gathers them from a table.  The ascent keeps the values for each accepted point, and
 retires a row whose step leaves it in place (a stalled row).
 
 A row whose Newton step is certified, by the Lipschitz bound on the
@@ -26,9 +26,11 @@ curvature, to land where the gradient norm is within the tolerance takes
 that step and converges without the evaluation that would confirm it; its
 reported gradient norm is then that upper bound, not a measured norm.
 
-Rows are cut into fixed shards of 8 blocks; each shard runs its whole
-ascent on its own, on up to ``threads`` threads, and a row's steps are its
-own, so the scores are bitwise the same at any thread count.
+Rows are cut into fixed shards of 8 blocks, or of as many whole blocks
+as fit in 8,192 rows where that is fewer; the cut depends on n and m
+only.  Each shard runs its whole ascent on its own, on up to ``threads``
+threads, and a row's steps are its own, so the scores are bitwise the
+same at any thread count.
 """
 
 from __future__ import annotations
@@ -46,17 +48,23 @@ from .spectral import FactorModel
 _ALPHA_MIN = 1e-12  # smallest step-halving factor before a step is abandoned
 
 # Cells per kernel pass: a block holds max(1, budget // m) rows of m
-# included components, so each of its float temporaries stays at 512 KB
-# whatever n and m are.
+# included components, and at most _SHARD_ROWS, so each of its float
+# temporaries stays at or below 512 KB whatever n and m are.
 _CELL_BUDGET = 2**16
-# Blocks per shard, the unit of the scoring threads: each shard runs its own
-# whole ascent, so the threads share no per-step barrier.
+# A shard, the unit of the scoring threads, holds _SHARD_BLOCKS blocks, or
+# as many whole blocks as fit in _SHARD_ROWS rows where that is fewer (at
+# least one).  Each shard runs its own whole ascent, so the threads share
+# no per-step barrier, and narrow data still makes a shard per 8,192 rows.
 _SHARD_BLOCKS = 8
+_SHARD_ROWS = 8192
 # max |psi'''| for psi = log Phi (0.295719 at x = 1.0024), rounded up.  A
 # cell's third derivative in x is at most this at any y in [0, 1].
 _PSI3_MAX = 0.2958
 # Rounding of one cell's dx, in ulps, on top of a row sum's m.
 _CELL_ULPS = 64
+# |x| up to which the kernel's curvature cells hold 1e-12 (see ``_kernel``);
+# a row whose cells may pass it is never certified.
+_CERT_X_MAX = 40.0
 _LOG_SPACE_MAX = 5.0  # |x| past which the kernel's tail values use erfcx
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -167,7 +175,7 @@ def estimate_scores(
     y_incl = np.ascontiguousarray(y.data[:, incl.mask])
     shards = map_slices(
         lambda s: _ascend(z[s], y_incl[s], incl, model.p, cfg, z0 is None),
-        n, _SHARD_BLOCKS * incl.block_rows, threads,
+        n, incl.shard_rows, threads,
     )
     iters, gnorm, conv = (np.concatenate(records) for records in zip(*shards))
     return LatentScores(z_hat=z, iterations=iters, grad_norms=gnorm, converged=conv)
@@ -278,13 +286,19 @@ def _certify(ll, g, curv, step, z, incl: _Inclusion, tol: float):
     sqrt(-2 f K2) + 2 K1, with K1 and K2 the means over p of |bt_j| and
     |bt_j|^2, since a cell's |dx| is at most sqrt(2 |ll cell|) + 2.  The
     curvature cells lie in [0, 1], so |H| <= K2, and err by at most 1e-12
-    relative.  numpy sums the ll cells pairwise, in eight interleaved
-    partial sums below 128 cells, so ll errs by at most m/8 + 16 ulps of -f.
+    while |x| <= 40 (``_kernel``); past that m (m - a) cancels and the
+    error grows as a^2 eps, so a row is certified only when every cell has
+    |x| <= max_j |bt_j| |z| + max_j |ct_j| <= 40 (``incl.reach``).  numpy
+    sums the ll cells pairwise, in eight interleaved partial sums below 128
+    cells, so ll errs by at most m/8 + 16 ulps of -f.
     """
     sn = np.linalg.norm(step, axis=1)
     lip = incl.lipschitz
     bound = np.full(len(sn), np.inf)
-    near = np.flatnonzero(0.5 * lip * sn * sn <= tol)
+    b_max, c_max = incl.reach
+    near = np.flatnonzero(
+        (0.5 * lip * sn * sn <= tol) & (b_max * np.linalg.norm(z, axis=1) + c_max <= _CERT_X_MAX)
+    )
     ll, g, curv, step, z, sn = ll[near], g[near], curv[near], step[near], z[near], sn[near]
 
     m = incl.ct.size
@@ -312,9 +326,10 @@ class _Inclusion:
     (d(d+1)/2 x m) holds the products bt_k bt_l for k <= l, which the
     curvature sums take as weights, and ``unpack`` (d x d) places those
     sums in the symmetric matrix.  A kernel block holds ``block_rows``
-    rows.  ``lipschitz`` bounds the Lipschitz constant of the Hessian of
-    ll / p, and ``norm_means`` holds the means over p of |bt_j| and
-    |bt_j|^2 (see ``_certify``).
+    rows and a shard ``shard_rows``.  ``lipschitz`` bounds the Lipschitz
+    constant of the Hessian of ll / p, ``norm_means`` holds the means over
+    p of |bt_j| and |bt_j|^2, and ``reach`` the largest |bt_j| and |ct_j|
+    (see ``_certify``).
     """
 
     mask: np.ndarray
@@ -322,8 +337,10 @@ class _Inclusion:
     pairs: np.ndarray
     unpack: np.ndarray
     block_rows: int
+    shard_rows: int
     lipschitz: float
     norm_means: tuple
+    reach: tuple
 
     @property
     def bt(self) -> np.ndarray:
@@ -349,14 +366,17 @@ def _inclusion(model: FactorModel, tau: float) -> _Inclusion:
     unpack = np.empty((model.d, model.d), dtype=int)
     unpack[k, l] = unpack[l, k] = np.arange(k.size)
     norms = np.linalg.norm(bt, axis=0)
+    block_rows = max(1, min(_CELL_BUDGET // max(bt.shape[1], 1), _SHARD_ROWS))
     return _Inclusion(
         mask=mask,
         affine=affine,
         pairs=bt[k] * bt[l],
         unpack=unpack,
-        block_rows=max(1, _CELL_BUDGET // max(bt.shape[1], 1)),
+        block_rows=block_rows,
+        shard_rows=block_rows * max(1, min(_SHARD_BLOCKS, _SHARD_ROWS // block_rows)),
         lipschitz=_PSI3_MAX * float(np.sum(norms**3)) / model.p,
         norm_means=(float(norms.sum()) / model.p, float(np.sum(norms**2)) / model.p),
+        reach=(float(norms.max(initial=0.0)), float(np.abs(affine[-1]).max(initial=0.0))),
     )
 
 
@@ -464,8 +484,9 @@ def _kernel(z1, y, incl: _Inclusion, floats, flags):
     (2 x rows x components); the three results are views of them.  Each
     value takes the same floating-point operations in the same order as the
     plain expressions in the comments.  The product x is one ``einsum``
-    that adds bt_1 z_1, ..., bt_d z_d and -ct in turn, not BLAS.  A cell's values depend only on its own x and y, which
-    ``_evaluate_origin`` relies on.
+    that adds bt_1 z_1, ..., bt_d z_d and -ct in turn, not BLAS.  A cell's
+    values depend only on its own x and y, which ``_evaluate_origin``
+    relies on.
     """
     x, tail, log_small, mills_small, log_large, mills_large, w, w_small, sign = floats
     neg, far = flags

@@ -557,6 +557,21 @@ class TestEstimateScores:
             np.testing.assert_array_equal(getattr(default, field), getattr(few, field))
             np.testing.assert_array_equal(getattr(few, field), getattr(reference, field))
 
+    @pytest.mark.parametrize("p", [1, 2, 9, 20, 50, 1000])
+    def test_shards_hold_at_most_8192_rows_of_narrow_data(self, p):
+        # Narrow data has blocks of thousands of rows; its shards still cut
+        # n at least as finely as 8,192-row shards, in whole blocks.
+        incl = _inclusion(make_model(p, 1, seed=38), -1.0)
+        m = incl.ct.size
+        assert m == p
+        assert incl.block_rows == max(1, min(scores_module._CELL_BUDGET // m, 8192))
+        assert incl.shard_rows % incl.block_rows == 0
+        assert incl.shard_rows <= 8192
+        assert incl.shard_rows <= scores_module._SHARD_BLOCKS * incl.block_rows
+        assert incl.shard_rows > 8192 - incl.block_rows or (
+            incl.shard_rows == scores_module._SHARD_BLOCKS * incl.block_rows
+        )
+
     def test_stalled_rows_retire(self):
         # Below the rounding of the likelihood most rows cannot meet the
         # tolerance.  Such a row stops once a step leaves it in place, with
@@ -635,6 +650,30 @@ class TestCertifiedStep:
         assert moved.mean() > 0.5
         assert np.all(certified.grad_norms[moved] >= evaluated.grad_norms[moved])
         assert np.all(certified.grad_norms[certified.converged] <= ScoreConfig().grad_tol)
+
+    def test_cells_past_kernel_accuracy_never_certified(self, monkeypatch):
+        # A threshold of 45 noise units puts a cell past |x| = 40 at every
+        # point near the origin, where the curvature cells may err by more
+        # than the bound allows: no row is certified, so the scores are
+        # those of the uncertified run in every field.  Without that
+        # condition most rows would be.
+        y, model = TestEstimateScores()._simulated(n=400, p=12, d=2, seed=39)
+        far_c = model.c_hat.copy()
+        far_c[0] = 45.0 * math.sqrt(model.tau2_hat[0])
+        far = FactorModel(
+            d=2, p=12, c_hat=far_c, b_hat=model.b_hat, tau2_hat=model.tau2_hat,
+            eigvals=model.eigvals,
+        )
+        cfg = ScoreConfig(m_percent=100.0)
+        a = estimate_scores(y, far, cfg)
+        monkeypatch.setattr(scores_module, "_PSI3_MAX", math.inf)
+        b = estimate_scores(y, far, cfg)
+        for field in ("z_hat", "iterations", "grad_norms", "converged"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+        monkeypatch.undo()
+        monkeypatch.setattr(scores_module, "_CERT_X_MAX", math.inf)
+        unchecked = estimate_scores(y, far, cfg)
+        assert (unchecked.grad_norms != b.grad_norms).mean() > 0.5
 
     def test_floored_noise_never_certified(self, monkeypatch):
         # Noise variances at the 1e-10 floor put the loadings over tau near
