@@ -1,9 +1,10 @@
 """File formats: binary data CSV, fitted model files, metrics and scores.
 
 All writes go through a temp-file-plus-rename so a partial file never
-appears at the destination.  Numbers are rendered with shortest
-round-trip decimal representation (Python ``repr``), which reproduces
-every float bit-exactly on reload.
+appears at the destination; the umask sets the file's mode, as for
+``open``.  Numbers are rendered with shortest round-trip decimal
+representation (Python ``repr``), which reproduces every float
+bit-exactly on reload.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import csv
 import io
 import json
 import os
-import tempfile
 from typing import Iterable
 
 import numpy as np
@@ -154,8 +154,9 @@ def read_model(path) -> FactorModel:
     """Load a model file written by ``write_model``; round trips bit-exactly.
 
     Raises ``ModelFormatError`` unless d and p are integers with
-    1 <= d <= p, the field lengths match, every entry is a finite number
-    and every noise variance is non-negative.
+    1 <= d <= p, each field has its shape (p,) for ``c_hat`` and
+    ``tau2_hat``, (p, d) for ``b_hat`` and (d,) for ``eigvals``, every
+    entry is a finite number and every noise variance is non-negative.
     """
     try:
         with open(path) as fh:
@@ -177,23 +178,22 @@ def read_model(path) -> FactorModel:
         if type(d) is not int or type(p) is not int:
             raise TypeError(f"d and p must be integers, got d={d!r}, p={p!r}")
         fields = {}
-        for name in ("c_hat", "b_hat", "tau2_hat", "eigvals"):
+        shapes = {"c_hat": (p,), "b_hat": (p, d), "tau2_hat": (p,), "eigvals": (d,)}
+        for name, shape in shapes.items():
             # JSON numbers only: bools, strings and nulls are not coerced.
             values = np.asarray(doc[name], dtype=object)
+            if values.shape != shape:
+                raise ValueError(f"{name} has shape {values.shape}, expected {shape}")
             if not all(type(v) in (int, float) for v in values.flat):
                 raise TypeError(f"{name} holds an entry that is not a number")
             fields[name] = values.astype(float)
-        fields["b_hat"] = fields["b_hat"].reshape(p, d)
+            if not np.isfinite(fields[name]).all():
+                raise ValueError(f"{name} holds a non-finite value")
         model = FactorModel(d=d, p=p, meta=dict(doc.get("meta", {})), **fields)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: malformed model file: {exc}") from exc
     if not 1 <= d <= p:
         raise ModelFormatError(f"{path}: need 1 <= d <= p, got d={d}, p={p}")
-    if model.c_hat.shape != (p,) or model.tau2_hat.shape != (p,) or model.eigvals.shape != (d,):
-        raise ModelFormatError(f"{path}: field lengths do not match p={p}, d={d}")
-    for name in ("c_hat", "b_hat", "tau2_hat", "eigvals"):
-        if not np.isfinite(getattr(model, name)).all():
-            raise ModelFormatError(f"{path}: {name} holds a non-finite value")
     if (model.tau2_hat < 0.0).any():
         raise ModelFormatError(f"{path}: tau2_hat holds a negative variance")
     return model
@@ -265,8 +265,13 @@ def _fmt(value: float) -> str:
 
 
 def _atomic_write(path, content: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    """Write ``content`` to a new file beside ``path``, then rename it there.
+
+    The file is created with mode 0o666 less the umask, as ``open`` would
+    create it (``tempfile.mkstemp`` would give 0o600 whatever the umask).
+    """
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(content)

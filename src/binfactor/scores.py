@@ -17,9 +17,11 @@ included components, at most 8,192).  Each row's weighted sums are one
 ``einsum`` contraction along its own contiguous components, so its bits
 do not depend on the block.  The pass writes its temporaries into
 buffers that its shard allocates once.  At the origin a cell takes one
-of two values per column, so the first evaluation of an ascent from there
-gathers them from a table.  The ascent keeps the values for each accepted point, and
-retires a row whose step leaves it in place (a stalled row).
+of two values per column, which each call computes once into a table, so
+the first evaluation of an ascent from there gathers its cells from that
+table and sums them as any other.  The ascent keeps the values for each
+accepted point, and retires a row whose step leaves it in place (a
+stalled row).
 
 A row whose Newton step is certified, by the Lipschitz bound on the
 curvature, to land where the gradient norm is within the tolerance takes
@@ -203,10 +205,7 @@ def _ascend(z, y_incl, incl: _Inclusion, p: int, cfg: ScoreConfig, at_origin: bo
     work = _workspace(min(n, incl.block_rows), incl.ct.size)
     # The log-likelihood, gradient and curvature of each active row's
     # current point, in the order of ``active``.
-    if at_origin:
-        ll, g, curv = _evaluate_origin(y_incl, incl, p, work)
-    else:
-        ll, g, curv = _evaluate(z, y_incl, active, incl, p, work)
+    ll, g, curv = _evaluate(None if at_origin else z, y_incl, active, incl, p, work)
 
     steps = 0
     retired = np.zeros(n, dtype=bool)  # rows certified or stalled by the last step
@@ -325,8 +324,11 @@ class _Inclusion:
     noise scales, on ``ct`` (m,), the thresholds.  ``pairs``
     (d(d+1)/2 x m) holds the products bt_k bt_l for k <= l, which the
     curvature sums take as weights, and ``unpack`` (d x d) places those
-    sums in the symmetric matrix.  A kernel block holds ``block_rows``
-    rows and a shard ``shard_rows``.  ``lipschitz`` bounds the Lipschitz
+    sums in the symmetric matrix.  ``origin`` holds the kernel's (ll, dx,
+    curvature) cells at z = 0, where x = -ct: three (2 x m) tables whose
+    row k is a cell's value when y = k, built once per ``estimate_scores``
+    call.  A kernel block holds ``block_rows`` rows and a shard
+    ``shard_rows``.  ``lipschitz`` bounds the Lipschitz
     constant of the Hessian of ll / p, ``norm_means`` holds the means over
     p of |bt_j| and |bt_j|^2, and ``reach`` the largest |bt_j| and |ct_j|
     (see ``_certify``).
@@ -336,6 +338,7 @@ class _Inclusion:
     affine: np.ndarray
     pairs: np.ndarray
     unpack: np.ndarray
+    origin: tuple
     block_rows: int
     shard_rows: int
     lipschitz: float
@@ -362,16 +365,23 @@ def _inclusion(model: FactorModel, tau: float) -> _Inclusion:
     bt_ct = ((model.b_hat[mask] / scale[:, None]).T, model.c_hat[mask] / scale)
     affine = np.ascontiguousarray(np.vstack(bt_ct))
     bt = affine[:-1]
-    k, l = np.tril_indices(model.d)
-    unpack = np.empty((model.d, model.d), dtype=int)
+    d, m = bt.shape
+    # The kernel's cells at the origin for y = 0 and y = 1 in every column.
+    z1 = np.zeros((2, d + 1))
+    z1[:, -1] = -1.0
+    both = np.repeat(np.arange(2, dtype=np.uint8)[:, None], m, axis=1)
+    cells = _kernel(z1, both, affine, *_workspace(2, m))
+    k, l = np.tril_indices(d)
+    unpack = np.empty((d, d), dtype=int)
     unpack[k, l] = unpack[l, k] = np.arange(k.size)
     norms = np.linalg.norm(bt, axis=0)
-    block_rows = max(1, min(_CELL_BUDGET // max(bt.shape[1], 1), _SHARD_ROWS))
+    block_rows = max(1, min(_CELL_BUDGET // max(m, 1), _SHARD_ROWS))
     return _Inclusion(
         mask=mask,
         affine=affine,
         pairs=bt[k] * bt[l],
         unpack=unpack,
+        origin=tuple(c.copy() for c in cells),
         block_rows=block_rows,
         shard_rows=block_rows * max(1, min(_SHARD_BLOCKS, _SHARD_ROWS // block_rows)),
         lipschitz=_PSI3_MAX * float(np.sum(norms**3)) / model.p,
@@ -387,60 +397,34 @@ def _workspace(rows: int, m: int):
 
 
 def _evaluate(z, y_incl, rows, incl: _Inclusion, p: int, work=None):
-    """Log-likelihood, gradient and curvature -d^2 ll / dz^2 at trial points z.
+    """Log-likelihood, gradient and curvature -d^2 ll / dz^2 at points z.
 
-    ``z[i]`` is the trial point of the sample in row ``rows[i]`` of
-    ``y_incl`` (samples x included components).  Returns arrays of shape
-    (n,), (n, d) and (n, d, d), computed in blocks of rows; a row's values
-    depend only on its own point and data, not on the block it is in.
+    ``z[i]`` is the point of the sample in row ``rows[i]`` of ``y_incl``
+    (samples x included components); ``z`` None puts every row at the
+    origin, where each block's cells are gathered from ``incl.origin``
+    instead of computed.  Returns arrays of shape (n,), (n, d) and
+    (n, d, d), computed in blocks of rows, each block's cells in the
+    buffers ``work``; a row's values depend only on its own point and
+    data, not on the block it is in.
     """
-    work = work or _workspace(min(len(z), incl.block_rows), incl.ct.size)
-    z1 = _homogeneous(z)
-    return _by_blocks(
-        len(z), incl, p, work,
-        lambda s, e, floats, flags: _kernel(z1[s:e], y_incl[rows[s:e]], incl, floats, flags),
-    )
-
-
-def _homogeneous(z):
-    """The points ``z`` (n x d) with a last coordinate of -1, so that
-    ``incl.affine`` maps each to its x = bt . z - ct."""
-    return np.concatenate((z, np.full((len(z), 1), -1.0)), axis=1)
-
-
-def _evaluate_origin(y_incl, incl: _Inclusion, p: int, work):
-    """``_evaluate`` with every row of ``y_incl`` at z = 0, by table lookup.
-
-    There x = -ct in every row, so each cell's (ll, dx, curvature) is one
-    of two values per column, picked by y.  The kernel's own cell code
-    gives the two, and each block gathers them into C-ordered buffers
-    before the same row sums, so every bit equals ``_evaluate``'s.
-    """
-    d, m = incl.bt.shape
-    both = np.repeat(np.arange(2, dtype=np.uint8)[:, None], m, axis=1)
-    origin = np.repeat(_homogeneous(np.zeros((1, d))), 2, axis=0)
-    table = [c.copy() for c in _kernel(origin, both, incl, *_workspace(2, m))]
-    return _by_blocks(
-        len(y_incl), incl, p, work,
-        lambda s, e, floats, flags: [
-            _pick(y_incl[s:e], pair, out) for pair, out in zip(table, floats)
-        ],
-    )
-
-
-def _by_blocks(n: int, incl: _Inclusion, p: int, work, cells):
-    """Row sums over p of ``cells(s, e, floats, flags)``, block by block.
-
-    ``cells`` returns the (ll, dx, curvature) cells of rows s:e, written
-    into the block's buffers.
-    """
+    n, (d, m) = len(rows), incl.bt.shape
+    work = work or _workspace(min(n, incl.block_rows), m)
+    if z is not None:
+        # A last coordinate of -1, so that ``incl.affine`` maps each point
+        # to its x = bt . z - ct.
+        z1 = np.concatenate((z, np.full((n, 1), -1.0)), axis=1)
     ll = np.empty(n)
-    g = np.empty((n, incl.bt.shape[0]))
+    g = np.empty((n, d))
     packed = np.empty((n, len(incl.pairs)))
     for s in range(0, n, incl.block_rows):
         e = min(s + incl.block_rows, n)
         floats, flags = (buf[:, : e - s] for buf in work)
-        _row_sums(*cells(s, e, floats, flags), incl, ll[s:e], g[s:e], packed[s:e])
+        y = y_incl[rows[s:e]]
+        if z is None:
+            cells = [_pick(y, pair, out) for pair, out in zip(incl.origin, floats)]
+        else:
+            cells = _kernel(z1[s:e], y, incl.affine, floats, flags)
+        _row_sums(*cells, incl, ll[s:e], g[s:e], packed[s:e])
     return ll / p, g / p, packed[:, incl.unpack] / p
 
 
@@ -458,10 +442,10 @@ def _pick(y, pair, out):
     return out
 
 
-def _kernel(z1, y, incl: _Inclusion, floats, flags):
+def _kernel(z1, y, affine, floats, flags):
     """Per-cell log-likelihood, x-derivative and observed curvature of a
-    block: points ``z1`` (rows x d + 1, see ``_homogeneous``), data ``y``
-    (rows x components).
+    block: points ``z1`` (rows x d + 1, each z_i with a last coordinate of
+    -1), data ``y`` (rows x components), and ``affine`` (``_Inclusion``).
 
     Cell (i, j) adds y log Phi(x) + (1 - y) log Phi(-x), x = bt_j . z_i - ct_j.
     With a = |x|, ``ndtr(-a)`` gives Phi(-a) to full relative precision
@@ -485,12 +469,12 @@ def _kernel(z1, y, incl: _Inclusion, floats, flags):
     value takes the same floating-point operations in the same order as the
     plain expressions in the comments.  The product x is one ``einsum``
     that adds bt_1 z_1, ..., bt_d z_d and -ct in turn, not BLAS.  A cell's
-    values depend only on its own x and y, which ``_evaluate_origin``
-    relies on.
+    values depend only on its own x and y, so the cells that ``_evaluate``
+    gathers from the origin table are those this would compute there.
     """
     x, tail, log_small, mills_small, log_large, mills_large, w, w_small, sign = floats
     neg, far = flags
-    np.einsum("ik,kj->ij", z1, incl.affine, out=x)  # bt . z - ct, in that order
+    np.einsum("ik,kj->ij", z1, affine, out=x)  # bt . z - ct, in that order
     np.less(x, 0.0, out=neg)
     a = np.abs(x, out=x)
     ndtr(np.negative(a, out=tail), out=tail)  # Phi(-a)

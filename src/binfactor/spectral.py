@@ -39,8 +39,14 @@ class FactorModel:
 
     ``b_hat`` has mutually orthogonal columns (scaled eigenvectors); its
     column span is only identified as a subspace, so entrywise values are a
-    chosen representative.  ``meta`` carries fit bookkeeping (sample size,
-    clamp counts, seed) for persistence.
+    chosen representative.  ``meta`` carries fit bookkeeping for
+    persistence: ``n``, the sample size, where the caller gives it;
+    ``marginal_clamps`` and ``pair_clamps``, the clamped marginal
+    frequencies and correlation pairs; ``tau2_floored``, the noise
+    variances raised to ``TAU2_FLOOR``; and ``negative_eigvals``, how many
+    of the d retained eigenvalues are below 0.  That is not the count of
+    Sigma-hat's negative eigenvalues, which can run to hundreds at
+    p = 1000.
     """
 
     d: int

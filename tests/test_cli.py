@@ -1,6 +1,8 @@
 """CLI tests: exit codes, file outputs, determinism across runs and threads."""
 
+import contextlib
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from binfactor.cli import main
 from binfactor.model_io import read_binary_matrix, read_model, write_scores
 from binfactor.scores import ScoreConfig, estimate_scores
 from binfactor.simulate import SimScenario, generate_dataset, generate_true_model
+from binfactor.spectral import EigengapWarning
 
 
 @pytest.fixture
@@ -95,6 +98,20 @@ class TestScore:
         code = main(["score", "--data", str(data_csv), "--model", str(model_path),
                      "--out", str(out), "--m", "100"])
         assert code == 0
+
+    @pytest.mark.parametrize("layout", ["transposed", "flat"])
+    def test_misshapen_b_hat(self, tmp_path, data_csv, capsys, layout):
+        model_path = self._fit(tmp_path, data_csv)
+        doc = json.loads(model_path.read_text())
+        b = np.array(doc["b_hat"])
+        doc["b_hat"] = (b.T if layout == "transposed" else b.ravel()).tolist()
+        model_path.write_text(json.dumps(doc))
+        out = tmp_path / "s.csv"
+        code = main(["score", "--data", str(data_csv), "--model", str(model_path),
+                     "--out", str(out)])
+        assert code == 2
+        assert "b_hat has shape" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_m(self, tmp_path, data_csv):
         model_path = self._fit(tmp_path, data_csv)
@@ -220,7 +237,10 @@ class TestDegenerateInputs:
         data = tmp_path / "data.csv"
         data.write_text("\n".join(",".join(map(str, row)) for row in y) + "\n")
         model_path = tmp_path / "model.json"
-        assert main(["fit", "--data", str(data), "--d", str(d), "--out", str(model_path)]) == 0
+        # One row, or no variation at all, leaves Sigma-hat without a gap at d.
+        gapless = case in ("n=1", "all zero")
+        with pytest.warns(EigengapWarning) if gapless else contextlib.nullcontext():
+            assert main(["fit", "--data", str(data), "--d", str(d), "--out", str(model_path)]) == 0
         model = read_model(model_path)
         for values in (model.c_hat, model.b_hat, model.tau2_hat, model.eigvals):
             assert np.isfinite(values).all()

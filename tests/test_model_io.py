@@ -275,6 +275,20 @@ class TestModelRoundTrip:
         with pytest.raises(ModelFormatError):
             read_model(path)
 
+    @pytest.mark.parametrize("layout", ["transposed", "flat"])
+    def test_misshapen_b_hat_rejected(self, tmp_path, layout):
+        # d rows of p numbers, or p * d numbers in one list, hold the right
+        # count of numbers in the wrong places; neither is reshaped.
+        model = make_model()
+        b = model.b_hat.T if layout == "transposed" else model.b_hat.ravel()
+        path = tmp_path / "m.json"
+        write_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["b_hat"] = b.tolist()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="b_hat has shape"):
+            read_model(path)
+
 
 class TestWriteMetrics:
     def _records(self, k):
@@ -398,3 +412,18 @@ class TestAtomicity:
         with pytest.raises(OSError):
             write_model(make_model(), target)
         assert [entry.name for entry in tmp_path.iterdir()] == ["model.json"]
+
+    def test_files_follow_the_umask(self, tmp_path):
+        scores = LatentScores(
+            z_hat=np.zeros((2, 1)), iterations=np.zeros(2, dtype=int),
+            grad_norms=np.zeros(2), converged=np.ones(2, dtype=bool),
+        )
+        old = os.umask(0o022)
+        try:
+            write_model(make_model(), tmp_path / "m.json")
+            write_scores(scores, tmp_path / "s.csv")
+            write_metrics([], tmp_path / "r.csv")
+        finally:
+            os.umask(old)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+        assert modes == {"m.json": 0o644, "s.csv": 0o644, "r.csv": 0o644}

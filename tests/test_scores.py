@@ -496,6 +496,25 @@ class TestEstimateScores:
         for field in ("z_hat", "iterations", "grad_norms", "converged"):
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_origin_table_built_once_per_call(self, threads, monkeypatch, blocks_of_1024):
+        # Rows that stop at their start take no step, so the only kernel
+        # pass is the one that builds the origin table: once per call, not
+        # once per shard of the two and a remainder.
+        _, shard = blocks_of_1024
+        y, model = self._simulated(n=2 * shard + 77, seed=32)
+        rows = []
+        kernel = scores_module._kernel
+
+        def counted(z1, *rest):
+            rows.append(len(z1))
+            return kernel(z1, *rest)
+
+        monkeypatch.setattr(scores_module, "_kernel", counted)
+        s = estimate_scores(y, model, ScoreConfig(grad_tol=1e300), threads=threads)
+        assert s.converged.all() and not s.iterations.any()
+        assert rows == [2]
+
     @pytest.mark.parametrize("start", ["origin", "z0"])
     def test_row_sums_see_c_ordered_cells(self, monkeypatch, start, blocks_of_1024):
         # numpy sums a row pairwise only along contiguous memory, and einsum
