@@ -1,5 +1,12 @@
 """Standard-normal and bivariate-normal tail primitives.
 
+The standard-normal functions need numpy and the standard library only.
+``std_normal_tail`` and ``std_normal_cdf`` port the Cephes rationals that
+``scipy.special.ndtr`` evaluates, branch-free and optionally in place, so
+the scoring kernel runs them on its own buffers; ``erfcx`` reuses the
+erfc rationals for the kernel's far tail; ``std_normal_quantile`` is
+``statistics.NormalDist.inv_cdf`` (Wichura's AS 241).
+
 The central object is the upper tail probability of a standard bivariate
 normal pair with correlation ``rho``,
 
@@ -43,21 +50,67 @@ pairs in chunks of ``_CHUNK_PAIRS`` (16384), which run on up to
 ``threads`` threads.  Each pair is computed from its own values only and
 summed along its own contiguous row, so its result is bitwise the same
 alone, in any batch, in any order, on either side of a chunk or node-budget
-boundary and at any thread count.
+boundary and at any thread count.  An inversion computes each pair's three
+Phi values, Phi(-lo), Phi(-hi) and Phi(lo) with lo = min(c1, c2) and
+hi = max(c1, c2), once, and passes them to every evaluation of ``ell``.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .parallel import map_slices
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 HALF_PI = 0.5 * math.pi
+
+# The Cephes rationals (Moshier, ndtr.c) that scipy.special.ndtr evaluates,
+# highest degree first, the denominators' leading 1 left out:
+# erf(s) = s T(s^2) / U(s^2) for |s| < 1, and erfc(s) = exp(-s^2) P(s) / Q(s)
+# on [1, 8) and exp(-s^2) R(s) / S(s) from 8 on.
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+# Cephes' MAXLOG, log(DBL_MAX): erfc(s) counts as 0 once s^2 exceeds it.
+_MAXLOG = 7.09782712893383996843e2
+# erfcx(t) past this t is its asymptotic series (1 / (t sqrt pi)) times
+# 1 - u + 3u^2 - 15u^3 + 105u^4 - 945u^5, u = 1 / (2 t^2), whose next term is
+# below 1e-16 here; the R / S rational drifts to 2.7e-15 relative by t = 1e6.
+_ERFCX_SERIES_START = 50.0
+_ERFCX_SERIES = (-945.0, 105.0, -15.0, 3.0, -1.0, 1.0)
+_SQRT_HALF = math.sqrt(0.5)
+_SQRT_PI = math.sqrt(math.pi)
+_UNIT_NORMAL = statistics.NormalDist()
+# The exponential of ``std_normal_tail``, (x, out) -> exp(x) into out; the
+# tests put libm's exp here to compare with scipy.special.ndtr bit for bit.
+_exp = np.exp
 
 # Offset from +-1 of a clamped correlation: the one edge of the root
 # finder, which never evaluates ell closer to +-1 than this.
@@ -115,16 +168,135 @@ def std_normal_pdf(x):
 
 
 def std_normal_cdf(x):
-    """Distribution function of the standard normal."""
-    return ndtr(np.asarray(x, dtype=float))
+    """Distribution function Phi(x) of the standard normal: ``std_normal_tail(-x)``."""
+    return std_normal_tail(np.negative(np.asarray(x, dtype=float)))[()]
+
+
+def std_normal_tail(x, out=None, work=None):
+    """Upper tail P(X > x) = Phi(-x) of the standard normal, elementwise.
+
+    An operation-for-operation port of the Cephes ``ndtr``, ``erf`` and
+    ``erfc`` that ``scipy.special.ndtr`` evaluates (Cody 1969, Math. Comp.
+    23:631, for the form of the rationals).  With s = x / sqrt(2), Phi(-x)
+    is 0.5 - 0.5 erf(s) while |s| < 1, and otherwise erfc(|s|) / 2, taken
+    from 1 where x < 0; erfc is 0 once s^2 exceeds ``_MAXLOG``, so the
+    infinities give exactly 0 and 1.  It has the relative precision of
+    erfc in the tail, about 1e-16, down to the underflow near x = -38.5.
+
+    Every value takes the operations of the erf rational and of P / Q, and
+    an integer blend keeps the one its branch selects; the values with
+    |s| >= 8, which take R / S and the underflow rule, are few and are
+    taken by index.  So a value depends on its own x only, not on the
+    others in the array.  With libm's exp in ``_exp`` it equals scipy's bit
+    for bit; numpy's own exp moves about 2% of values, by at most 4 ulps.
+
+    The result goes to ``out`` and the temporaries to ``work`` (4 x the
+    shape of x), which are allocated when not given; neither may overlap x.
+    """
+    x = np.asarray(x, dtype=float)
+    if out is None:
+        out = np.empty(x.shape)
+    if work is None:
+        work = np.empty((4,) + x.shape)
+    z, ez, small, den = (work[k, ...] for k in range(4))  # arrays even when x is 0-d
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(x, _SQRT_HALF, out=z)  # s
+        np.multiply(z, z, out=ez)  # s^2
+        # |s| < 1: 0.5 + 0.5 erf(-s) = 0.5 - 0.5 (s T(s^2)) / U(s^2).  Cephes
+        # switches at |s| = sqrt(1/2), but on [sqrt(1/2), 1) its 0.5 erfc(|s|)
+        # = 0.5 (1 - erf(|s|)) rounds to these same bits.
+        _polevl(ez, _ERF_T, small)
+        small *= z
+        small /= _p1evl(ez, _ERF_U, den)
+        small *= -0.5
+        small += 0.5
+        np.abs(z, out=z)
+        _exp(np.negative(ez, out=ez), out=ez)
+        _polevl(z, _ERFC_P, out)
+        out *= ez
+        out /= _p1evl(z, _ERFC_Q, den)
+        # |s| >= 8, where erfc also underflows: few values, taken by index.
+        far = np.flatnonzero(z >= 8.0)
+        if far.size:
+            z_far = np.take(z, far)
+            tail = _polevl(z_far, _ERFC_R, np.empty(far.size))
+            tail *= np.take(ez, far)
+            tail /= _p1evl(z_far, _ERFC_S, np.empty(far.size))
+            tail[z_far * z_far > _MAXLOG] = 0.0
+            np.put(out, far, tail)
+        out *= 0.5  # erfc(|s|) / 2
+        neg = x < 0.0
+        if neg.any():
+            np.copyto(out, np.subtract(1.0, out, out=den), where=neg)
+        # out = small where |s| < 1, bit for bit, in integer passes: a
+        # masked np.copyto takes about four times as long on many values.
+        bits = out.view(np.uint64)
+        pick = np.less(z, 1.0, out=den.view(np.uint64))
+        flips = np.bitwise_xor(bits, small.view(np.uint64), out=ez.view(np.uint64))
+        flips *= pick
+        np.bitwise_xor(bits, flips, out=bits)
+    return out
 
 
 def std_normal_quantile(p):
-    """Inverse of ``std_normal_cdf`` for p in the open interval (0, 1)."""
+    """Inverse of ``std_normal_cdf`` for p in the open interval (0, 1).
+
+    ``statistics.NormalDist.inv_cdf``, Wichura's AS 241 (1988, Appl.
+    Statist. 37:477), one value at a time: callers pass O(p) values.
+    """
     p = np.asarray(p, dtype=float)
     if np.any((p <= 0.0) | (p >= 1.0)) or not np.all(np.isfinite(p)):
         raise ValueError("quantile argument must lie strictly inside (0, 1)")
-    return ndtri(p)
+    q = np.array([_UNIT_NORMAL.inv_cdf(v) for v in p.ravel().tolist()], dtype=float)
+    return q.reshape(p.shape)[()]
+
+
+def erfcx(t):
+    """The scaled complementary error function exp(t^2) erfc(t), for t >= 1.
+
+    The Cephes erfc rationals of ``std_normal_tail`` without their
+    exp(-t^2) factor: P / Q on [1, 8) and R / S on [8, 50).  From t = 50 on
+    it is the asymptotic series (1 / (t sqrt pi)) (1 - 1/(2t^2) + 3/(4t^4)
+    - ...) to six terms, since R / S loses relative accuracy as t grows.
+    Within 1e-15 relative of mpmath on [3.5, 1e300].  Below 1 the value is
+    nan.
+    """
+    t = np.asarray(t, dtype=float)
+    out, den = np.empty(t.shape), np.empty(t.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _polevl(t, _ERFC_P, out)
+        out /= _p1evl(t, _ERFC_Q, den)
+        far = t >= 8.0
+        if far.any():
+            _polevl(t, _ERFC_R, den)
+            np.copyto(out, den / _p1evl(t, _ERFC_S, np.empty(t.shape)), where=far)
+        series = t >= _ERFCX_SERIES_START
+        if series.any():
+            u = np.divide(0.5, t * t, out=den)  # 1 / (2 t^2)
+            total = _polevl(u, _ERFCX_SERIES, np.empty(t.shape))
+            np.copyto(out, total / (t * _SQRT_PI), where=series)
+        np.copyto(out, np.nan, where=~(t >= 1.0))
+    return out[()]
+
+
+def _polevl(x, coefs, out):
+    """Cephes ``polevl``: the polynomial with ``coefs``, highest degree
+    first, at x by Horner's rule, into ``out`` (which may not overlap x)."""
+    np.multiply(x, coefs[0], out=out)
+    for c in coefs[1:-1]:
+        out += c
+        out *= x
+    out += coefs[-1]
+    return out
+
+
+def _p1evl(x, coefs, out):
+    """Cephes ``p1evl``: ``_polevl`` with a leading coefficient of 1 left out of ``coefs``."""
+    np.add(x, coefs[0], out=out)
+    for c in coefs[1:]:
+        out *= x
+        out += c
+    return out
 
 
 def bvn_boundary_value(c1: float, c2: float, sign: int) -> float:
@@ -144,9 +316,10 @@ def bvn_boundary_value(c1: float, c2: float, sign: int) -> float:
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     lo, hi, _, _ = _flat_pairs(c1, c2, 0.0)
+    _, up_hi, _, diff = _pair_terms(lo, hi)
     if sign == 1:
-        return ndtr(-hi).item()
-    return max(0.0, _lower_difference(lo, hi).item())
+        return up_hi.item()
+    return max(0.0, diff.item())
 
 
 def bvn_upper_tail(c1: float, c2: float, rho: float) -> float:
@@ -165,7 +338,8 @@ def bvn_upper_tail_batch(c1, c2, rho) -> np.ndarray:
     bad = ~(np.abs(rho) < 1.0)
     if bad.any():
         raise ValueError(f"rho must satisfy |rho| < 1, got {float(rho[bad][0])!r}")
-    return _ell(lo, hi, rho).reshape(shape)
+    _, _, anchor, diff = _pair_terms(lo, hi)
+    return _ell(lo, hi, rho, anchor, diff).reshape(shape)
 
 
 def bvn_upper_tail_drho(c1: float, c2: float, rho: float) -> float:
@@ -270,9 +444,12 @@ def _flat_pairs(c1, c2, values):
     return np.minimum(c1, c2).ravel(), np.maximum(c1, c2).ravel(), values.ravel(), values.shape
 
 
-def _lower_difference(lo, hi):
-    """Phi(-hi) - Phi(lo) for lo <= hi: the -1 boundary before clipping at 0."""
-    return ndtr(-hi) - ndtr(lo)
+def _pair_terms(lo, hi):
+    """Phi(-lo), Phi(-hi), the anchor ell(rho = 0) = Phi(-lo) Phi(-hi) and
+    Phi(-hi) - Phi(lo), the -1 boundary before clipping at 0, for 1-D arrays
+    with lo <= hi: every Phi value that a pair needs, from one call."""
+    up_lo, up_hi, down_lo = std_normal_tail(np.concatenate((lo, hi, -lo))).reshape(3, -1)
+    return up_lo, up_hi, up_lo * up_hi, up_hi - down_lo
 
 
 def _drho(c1, c2, rho):
@@ -281,23 +458,23 @@ def _drho(c1, c2, rho):
     return std_normal_pdf((c1 - rho * c2) / root) * std_normal_pdf(c2) / root
 
 
-def _ell(lo, hi, rho):
-    """ell for 1-D arrays with lo <= hi and |rho| < 1."""
+def _ell(lo, hi, rho, anchor, diff):
+    """ell for 1-D arrays with lo <= hi and |rho| < 1, given each pair's
+    ``anchor`` and ``diff`` from ``_pair_terms``."""
     theta = np.arcsin(np.abs(rho))
     neg = rho < 0.0
     # Every rho integrates from the rho = 0 anchor.  Since h(-t; lo, hi) =
     # h(t; lo, -hi), rho < 0 subtracts the integral of h(t; lo, -hi) over
     # [0, |theta|] from the anchor, on the same short panels as rho >= 0.
-    anchor = ndtr(-lo) * ndtr(-hi)
     area = _panel_integrals(lo, np.where(neg, -hi, hi), np.zeros(rho.size), theta)
     out = anchor + np.where(neg, -area, area)
     tail = np.flatnonzero(neg & (out <= _TAIL_FRACTION * anchor))
-    lo, hi, theta = lo[tail], hi[tail], theta[tail]
+    lo, hi, theta, diff = lo[tail], hi[tail], theta[tail], diff[tail]
     # Tail cells integrate h(t; lo, -hi) over [|theta|, pi/2] up from the
     # rho = -1 anchor, a sum of non-negative terms.  The integrand is exactly
     # zero once (lo + hi) / cos(t) exceeds ~43, so the integral is cut there.
     cutoff = HALF_PI - np.minimum(0.1, np.abs(lo + hi) / 43.0)
-    out[tail] = np.maximum(0.0, _lower_difference(lo, hi)) + _panel_integrals(
+    out[tail] = np.maximum(0.0, diff) + _panel_integrals(
         lo, -hi, theta, np.maximum(cutoff, theta)
     )
     return out
@@ -373,19 +550,19 @@ def _invert(lo, hi, p):
     n = p.size
     rho = np.empty(n)
     iterations = np.zeros(n, dtype=np.int64)
-    diff = _lower_difference(lo, hi)
+    up_lo, up_hi, anchor, diff = _pair_terms(lo, hi)
     lo_edge = np.maximum(
         np.maximum(0.0, diff * (1.0 + _BRACKET_MARGIN)),
-        diff + _MARGINAL_ULPS * np.spacing(ndtr(-lo)),
+        diff + _MARGINAL_ULPS * np.spacing(up_lo),
     )
     to_minus = p <= lo_edge
-    to_plus = ~to_minus & (p >= ndtr(-hi) * (1.0 - _BRACKET_MARGIN))
+    to_plus = ~to_minus & (p >= up_hi * (1.0 - _BRACKET_MARGIN))
     clamped = to_minus | to_plus
     edge = 1.0 - RHO_CLAMP
     rho[to_minus], rho[to_plus] = -edge, edge
 
     idx = np.flatnonzero(~clamped)
-    lo, hi, p = lo[idx], hi[idx], p[idx]
+    lo, hi, p, anchor, diff = lo[idx], hi[idx], p[idx], anchor[idx], diff[idx]
     # The bracket starts at the boundary values at +-1, which are never
     # evaluated and lie too far from every iterate to close it.
     a, b = np.full(idx.size, -1.0), np.full(idx.size, 1.0)
@@ -395,11 +572,11 @@ def _invert(lo, hi, p):
     # A slope that underflows gives an infinite step, which stops at +-pi/2,
     # or 0 / 0, which starts at 0.
     with np.errstate(divide="ignore", invalid="ignore"):
-        theta = (p - ndtr(-lo) * ndtr(-hi)) / (std_normal_pdf(lo) * std_normal_pdf(hi))
+        theta = (p - anchor) / (std_normal_pdf(lo) * std_normal_pdf(hi))
     x = np.clip(np.sin(np.clip(np.nan_to_num(theta), -HALF_PI, HALF_PI)), -edge, edge)
     step = step_before = np.full(idx.size, 2.0)
     for it in range(1, _MAX_ITER + 1):
-        f = _ell(lo, hi, x) - p
+        f = _ell(lo, hi, x, anchor, diff) - p
         df = _drho(lo, hi, x)
         iterations[idx] = it
         below = f < 0.0
@@ -420,6 +597,7 @@ def _invert(lo, hi, p):
 
         keep = ~done
         idx, lo, hi, p = idx[keep], lo[keep], hi[keep], p[keep]
+        anchor, diff = anchor[keep], diff[keep]
         a, b, fa, fb, x, f, df = a[keep], b[keep], fa[keep], fb[keep], x[keep], f[keep], df[keep]
         step, step_before = step[keep], step_before[keep]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

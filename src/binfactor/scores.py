@@ -41,8 +41,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx, ndtr
 
+from .gaussian import erfcx, std_normal_tail
 from .moments import BinaryMatrix
 from .parallel import map_slices
 from .spectral import FactorModel
@@ -448,12 +448,12 @@ def _kernel(z1, y, affine, floats, flags):
     -1), data ``y`` (rows x components), and ``affine`` (``_Inclusion``).
 
     Cell (i, j) adds y log Phi(x) + (1 - y) log Phi(-x), x = bt_j . z_i - ct_j.
-    With a = |x|, ``ndtr(-a)`` gives Phi(-a) to full relative precision
-    (``log_ndtr`` agrees to a few ulps at twice the cost), and log Phi(+-a)
-    and the Mills ratios phi(a) / Phi(+-a) follow in log space.  Past
-    a = 5, log phi(a) - log Phi(-a) loses relative precision (1e-11 at
-    a = 1000) and past 37.5 Phi(-a) underflows, so there erfcx(a / sqrt 2)
-    gives both.  Everything stays exact and finite while a^2 does.
+    With a = |x|, ``gaussian.std_normal_tail`` gives Phi(-a) to full
+    relative precision, and log Phi(+-a) and the Mills ratios
+    phi(a) / Phi(+-a) follow in log space.  Past a = 5, log phi(a) -
+    log Phi(-a) loses relative precision (1e-11 at a = 1000) and past 37.5
+    Phi(-a) underflows, so there ``gaussian.erfcx(a / sqrt 2)`` gives both.
+    Everything stays exact and finite while a^2 does.
 
     The cell's observed curvature -d^2/dx^2 is m (m + a) on the large side,
     with m = phi(a) / Phi(a), and m (m - a) on the small side, with
@@ -465,7 +465,9 @@ def _kernel(z1, y, affine, floats, flags):
 
     Every (rows x components) temporary is written in place, with ``out=``,
     into the buffers ``floats`` (9 x rows x components) and ``flags``
-    (2 x rows x components); the three results are views of them.  Each
+    (2 x rows x components); the three results are views of them, and the
+    Phi(-a) pass takes four of the float buffers as its work space before
+    they hold anything else.  Each
     value takes the same floating-point operations in the same order as the
     plain expressions in the comments.  The product x is one ``einsum``
     that adds bt_1 z_1, ..., bt_d z_d and -ct in turn, not BLAS.  A cell's
@@ -477,7 +479,7 @@ def _kernel(z1, y, affine, floats, flags):
     np.einsum("ik,kj->ij", z1, affine, out=x)  # bt . z - ct, in that order
     np.less(x, 0.0, out=neg)
     a = np.abs(x, out=x)
-    ndtr(np.negative(a, out=tail), out=tail)  # Phi(-a)
+    std_normal_tail(a, out=tail, work=floats[2:6])  # Phi(-a)
     np.greater(a, _LOG_SPACE_MAX, out=far)
     any_far = far.any()
     if any_far:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from binfactor import gaussian
 from binfactor.gaussian import (
@@ -23,9 +23,11 @@ from binfactor.gaussian import (
     bvn_upper_tail,
     bvn_upper_tail_batch,
     bvn_upper_tail_drho,
+    erfcx,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
+    std_normal_tail,
     tetrachoric_invert,
     tetrachoric_invert_batch,
 )
@@ -91,6 +93,70 @@ class TestStdNormalCdf:
         x = np.linspace(-8.0, 8.0, 401)
         assert np.all(np.diff(std_normal_cdf(x)) > 0.0)
 
+    def test_within_four_ulps_of_scipy(self):
+        # numpy's exp may differ from libm's by an ulp, which the rationals
+        # carry into at most 4 ulps of Phi.
+        x = np.random.default_rng(20261019).uniform(-40.0, 40.0, 10**6)
+        ref = special.ndtr(x)
+        assert np.all(np.abs(std_normal_cdf(x) - ref) <= 4.0 * np.spacing(ref))
+
+    def test_bitwise_scipy_with_libm_exp(self, monkeypatch):
+        libm_exp = np.frompyfunc(math.exp, 1, 1)
+
+        def exp(v, out):
+            out[...] = libm_exp(v)
+            return out
+
+        monkeypatch.setattr(gaussian, "_exp", exp)
+        x = np.random.default_rng(20261020).uniform(-40.0, 40.0, 300_000)
+        x = np.concatenate((x, [0.0, -0.0, 1.0, -1.0, 8.0 * math.sqrt(2.0), -37.5, -38.5, 5e-324]))
+        assert np.array_equal(std_normal_cdf(x), special.ndtr(x))
+
+    def test_infinities_and_nan(self):
+        out = std_normal_cdf(np.array([-np.inf, np.inf, np.nan]))
+        assert out[0] == 0.0 and out[1] == 1.0 and np.isnan(out[2])
+        assert std_normal_cdf(-np.inf) == 0.0 and std_normal_cdf(np.inf) == 1.0
+
+    def test_tail_in_place_is_each_value_alone(self):
+        # The kernel's form: result in ``out``, temporaries in ``work``.  A
+        # value does not depend on the others, on either side of |s| = 8.
+        x = np.random.default_rng(3).uniform(-15.0, 15.0, (40, 25))
+        out, work = np.empty(x.shape), np.empty((4,) + x.shape)
+        assert std_normal_tail(x, out=out, work=work) is out
+        alone = np.array([std_normal_tail(v) for v in x.ravel()]).reshape(x.shape)
+        assert np.array_equal(out, alone)
+        assert np.array_equal(out, std_normal_cdf(-x))
+
+
+class TestErfcx:
+    def test_against_mpmath(self):
+        with mp.workdps(40):
+
+            def exact(t):
+                t = mp.mpf(t)
+                if t < 1e4:
+                    return mp.erfc(t) * mp.exp(t * t)
+                # The alternating asymptotic series errs by less than its
+                # first omitted term, far below 1e-40 here.
+                u, term, total = 1 / (2 * t * t), mp.mpf(1), mp.mpf(0)
+                for k in range(30):
+                    total += term
+                    term *= -(2 * k + 1) * u
+                return total / (t * mp.sqrt(mp.pi))
+
+            rng = np.random.default_rng(11)
+            t = np.concatenate((
+                np.exp(rng.uniform(math.log(3.5), math.log(1e300), 2000)),
+                np.linspace(3.5, 60.0, 2000),
+                [3.5, 8.0, 50.0, 1e6, 1e51, 1e300],
+            ))
+            got = erfcx(t)
+            worst = max(abs(float((mp.mpf(g) - exact(v)) / exact(v))) for g, v in zip(got, t))
+        assert worst <= 1e-15
+
+    def test_below_one_is_nan(self):
+        assert np.isnan(erfcx(0.5)) and not np.isnan(erfcx(1.0))
+
 
 class TestStdNormalQuantile:
     def test_median(self):
@@ -104,6 +170,15 @@ class TestStdNormalQuantile:
         x = np.linspace(-5.0, 5.0, 101)
         back = std_normal_quantile(std_normal_cdf(x))
         np.testing.assert_allclose(back, x, atol=1e-10)
+
+    def test_round_trip_relative_in_both_tails(self):
+        # A relative error e in x moves Phi(x) by about x^2 e relative.
+        p = np.geomspace(1e-300, 0.5, 4001)
+        x = std_normal_quantile(p)
+        rel = np.abs(std_normal_cdf(x) - p) / p
+        assert np.all(rel <= 4.0 * np.spacing(1.0) * (1.0 + x * x))
+        q = 1.0 - np.geomspace(1e-16, 0.5, 2001)
+        assert np.all(np.abs(std_normal_cdf(std_normal_quantile(q)) - q) <= 4.0 * np.spacing(q))
 
     def test_cdf_residual(self):
         p = np.linspace(1e-10, 1.0 - 1e-10, 501)

@@ -2,8 +2,10 @@
 the BLAS thread count its pools run under."""
 
 import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,3 +193,25 @@ def test_loaded_openblas_held_and_restored():
     inside = map_slices(lambda s: [get() for get, _ in controls], 2, 1, threads=2)
     assert inside == [[1] * len(controls)] * 2
     assert [get() for get, _ in controls] == before
+
+
+def test_numpy_openblas_found_without_scipy():
+    # The cap must find numpy's own OpenBLAS in a process that never loads
+    # scipy, as the command line is; the test above loads scipy's as well.
+    code = (
+        "import sys, numpy, binfactor.parallel as p\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "mapped = 'openblas' in open('/proc/self/maps').read().lower()\n"
+        "controls = p._openblas_controls()\n"
+        "inside = p.map_slices(lambda s: [get() for get, _ in controls], 2, 1, threads=2)\n"
+        "print(mapped, len(controls), inside == [[1] * len(controls)] * 2)\n"
+    )
+    if not Path("/proc/self/maps").exists():
+        pytest.skip("no /proc/self/maps")
+    env = {**os.environ, "PYTHONPATH": str(Path(parallel.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    mapped, n_controls, held = run.stdout.split()
+    if mapped == "False":
+        pytest.skip("numpy loads no OpenBLAS")
+    assert int(n_controls) >= 1 and held == "True"
