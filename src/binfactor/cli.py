@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="gradient-norm stopping tolerance (default 1e-8)")
     score.add_argument("--max-iter", type=int, default=100,
                        help="iteration cap per sample (default 100)")
-    _add_threads(score, "row shards")
+    _add_threads(score, "row shards and render the output rows")
     score.set_defaults(func=_cmd_score)
 
     sim = sub.add_parser("simulate", help="run the Monte Carlo study")
@@ -114,8 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _add_threads(parser: argparse.ArgumentParser, units: str) -> None:
     parser.add_argument("--threads", type=int, default=usable_cpus(),
-                        help=f"threads that run the {units}; the output is identical "
-                             "at any count (default: the usable CPUs)")
+                        help=f"worker processes that run the {units}; the output is "
+                             "identical at any count (default: the usable CPUs)")
 
 
 def _int_list(text: str) -> list[int]:
@@ -156,7 +156,7 @@ def _cmd_score(args) -> int:
     if model.p != y.p:
         raise _UsageError(f"model expects p={model.p} features, data has p={y.p}")
     scores = estimate_scores(y, model, cfg, threads=args.threads)
-    model_io.write_scores(scores, args.out)
+    model_io.write_scores(scores, args.out, threads=args.threads)
     n_conv = int(scores.converged.sum())
     print(f"scored {scores.n} samples (d={model.d}); converged: {n_conv}/{scores.n}")
     print(f"scores written to {args.out}")

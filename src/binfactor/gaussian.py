@@ -47,12 +47,13 @@ number of panels are stacked into dense arrays of at most ``_NODE_BUDGET``
 (2**16) quadrature nodes, so the quadrature's temporaries stay at 512 KB
 however many panels a tail pair needs.  The inversion works through its
 pairs in chunks of ``_CHUNK_PAIRS`` (16384), which run on up to
-``threads`` threads.  Each pair is computed from its own values only and
-summed along its own contiguous row, so its result is bitwise the same
-alone, in any batch, in any order, on either side of a chunk or node-budget
-boundary and at any thread count.  An inversion computes each pair's three
-Phi values, Phi(-lo), Phi(-hi) and Phi(lo) with lo = min(c1, c2) and
-hi = max(c1, c2), once, and passes them to every evaluation of ``ell``.
+``threads`` worker processes.  Each pair is computed from its own values
+only and summed along its own contiguous row, so its result is bitwise the
+same alone, in any batch, in any order, on either side of a chunk or
+node-budget boundary and at any worker count.  An inversion computes each
+pair's three Phi values, Phi(-lo), Phi(-hi) and Phi(lo) with
+lo = min(c1, c2) and hi = max(c1, c2), once, and passes them to every
+evaluation of ``ell``.
 """
 
 from __future__ import annotations
@@ -142,9 +143,10 @@ _MARGINAL_ULPS = 4
 # at most two bits; a switch at 0.01 let the relative error reach 1e-13.
 _TAIL_FRACTION = 0.25
 
-# Pairs per chunk of the inversion, the unit of its threads.  Each
+# Pairs per chunk of the inversion, the unit of its workers: a batch of
+# at most this many pairs runs inline, with no worker started.  Each
 # iteration of the root finder is a few numpy calls per chunk, so a small
-# chunk is mostly call overhead and too short to run in parallel.
+# chunk is mostly call overhead and too short to pay for a worker.
 _CHUNK_PAIRS = 16384
 
 # Quadrature nodes per pass of ``_panel_integrals``: 2**16 float64 nodes
@@ -390,7 +392,8 @@ def tetrachoric_invert_batch(
 
     Returns the arrays ``(rho_hat, iterations, clamped)``, with the
     meanings of the ``InversionResult`` fields.  Chunks of pairs run on up
-    to ``threads`` threads; the result is bitwise the same at any count.
+    to ``threads`` worker processes (see ``parallel``); the result is
+    bitwise the same at any count.
 
     Targets on or beyond a boundary value are clamped to
     ``+-(1 - RHO_CLAMP)``.  The +1 margin is 1e-12 of the boundary value.
@@ -423,15 +426,13 @@ def tetrachoric_invert_batch(
     bad = ~((p >= 0.0) & (p <= 1.0))
     if bad.any():
         raise ValueError(f"p_target must lie in [0, 1], got {float(p[bad][0])!r}")
-    rho = np.empty(p.size)
-    iterations = np.zeros(p.size, dtype=np.int64)
-    clamped = np.zeros(p.size, dtype=bool)
 
-    def solve(s: slice) -> None:
-        rho[s], iterations[s], clamped[s] = _invert(lo[s], hi[s], p[s])
+    def solve(s: slice):
+        return _invert(lo[s], hi[s], p[s])
 
-    map_slices(solve, p.size, _CHUNK_PAIRS, threads)
-    return rho.reshape(shape), iterations.reshape(shape), clamped.reshape(shape)
+    # An empty batch has no chunk; its one empty solve gives the dtypes.
+    chunks = map_slices(solve, p.size, _CHUNK_PAIRS, threads) or [solve(slice(0, 0))]
+    return tuple(np.concatenate(parts).reshape(shape) for parts in zip(*chunks))
 
 
 def _flat_pairs(c1, c2, values):

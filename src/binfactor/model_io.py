@@ -19,6 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .moments import BinaryMatrix
+from .parallel import map_slices
 from .scores import LatentScores
 from .simulate import MetricsRecord
 from .spectral import FactorModel
@@ -27,6 +28,9 @@ MODEL_FORMAT_VERSION = 1
 
 METRICS_COLUMNS = ["scenario", "rep", "max_err", "subspace_d", "med_err", "tau_err", "error"]
 TIMING_COLUMNS = ["t_generate", "t_tetrachoric", "t_spectral", "t_scores"]
+
+# Score rows rendered per chunk of ``write_scores``, the unit of its workers.
+_SCORE_CHUNK_ROWS = 16384
 
 
 class DataFormatError(ValueError):
@@ -233,17 +237,28 @@ def write_metrics(
     _atomic_write(path, out.getvalue())
 
 
-def write_scores(scores: LatentScores, path) -> None:
-    """Write latent scores plus convergence columns as CSV."""
+def write_scores(scores: LatentScores, path, threads: int = 1) -> None:
+    """Write latent scores plus convergence columns as CSV.
+
+    The rows are rendered in fixed chunks of ``_SCORE_CHUNK_ROWS`` on up to
+    ``threads`` worker processes (see ``parallel``); the bytes are the same
+    at any count.
+    """
     d = scores.z_hat.shape[1]
     header = [f"z_{k + 1}" for k in range(d)] + ["iterations", "grad_norm", "converged"]
     z_hat = np.asarray(scores.z_hat, dtype=float)
-    columns = [map(repr, z_hat[:, k].tolist()) for k in range(d)]
-    columns.append(_numerals(scores.iterations))
-    columns.append(map(repr, np.asarray(scores.grad_norms, dtype=float).tolist()))
-    columns.append(_numerals(scores.converged))
-    lines = [",".join(header), *map(",".join, zip(*columns))]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    grad_norms = np.asarray(scores.grad_norms, dtype=float)
+    iterations, converged = np.asarray(scores.iterations), np.asarray(scores.converged)
+
+    def render(s: slice) -> str:
+        columns = [map(repr, z_hat[s, k].tolist()) for k in range(d)]
+        columns.append(_numerals(iterations[s]))
+        columns.append(map(repr, grad_norms[s].tolist()))
+        columns.append(_numerals(converged[s]))
+        return "\n".join(map(",".join, zip(*columns))) + "\n"
+
+    chunks = map_slices(render, len(z_hat), _SCORE_CHUNK_ROWS, threads)
+    _atomic_write(path, ",".join(header) + "\n" + "".join(chunks))
 
 
 def _numerals(values) -> list:

@@ -154,7 +154,7 @@ def tetrachoric_from_probabilities(
     matrix up to root-finder tolerance.  ``n`` enables the finite-sample
     frequency clamp of ``thresholds``; without it the marginals must lie
     strictly in (0, 1).  The pairs are inverted on up to ``threads``
-    threads.
+    worker processes.
     """
     p_marginal = np.asarray(p_marginal, dtype=float)
     p_joint = np.asarray(p_joint, dtype=float)

@@ -31,8 +31,8 @@ reported gradient norm is then that upper bound, not a measured norm.
 Rows are cut into fixed shards of 8 blocks, or of as many whole blocks
 as fit in 8,192 rows where that is fewer; the cut depends on n and m
 only.  Each shard runs its whole ascent on its own, on up to ``threads``
-threads, and a row's steps are its own, so the scores are bitwise the
-same at any thread count.
+worker processes, and returns its moved points with its records; a row's
+steps are its own, so the scores are bitwise the same at any worker count.
 """
 
 from __future__ import annotations
@@ -53,9 +53,9 @@ _ALPHA_MIN = 1e-12  # smallest step-halving factor before a step is abandoned
 # included components, and at most _SHARD_ROWS, so each of its float
 # temporaries stays at or below 512 KB whatever n and m are.
 _CELL_BUDGET = 2**16
-# A shard, the unit of the scoring threads, holds _SHARD_BLOCKS blocks, or
+# A shard, the unit of the scoring workers, holds _SHARD_BLOCKS blocks, or
 # as many whole blocks as fit in _SHARD_ROWS rows where that is fewer (at
-# least one).  Each shard runs its own whole ascent, so the threads share
+# least one).  Each shard runs its own whole ascent, so the workers share
 # no per-step barrier, and narrow data still makes a shard per 8,192 rows.
 _SHARD_BLOCKS = 8
 _SHARD_ROWS = 8192
@@ -149,7 +149,8 @@ def estimate_scores(
     better point) stops too, since every later step would repeat it; it
     keeps ``converged=False``, its gradient norm and the steps it took.
     Rows are independent; the result does not depend on their order or on
-    ``threads``, the number of threads that run the row shards.
+    ``threads``, the number of worker processes that run the row shards
+    (see ``parallel``).
 
     Rows start at the origin, or at their rows of ``z0`` (n x d, finite).
     With no component included every row converges at its start after 0
@@ -175,12 +176,14 @@ def estimate_scores(
     # Column selection leaves the columns contiguous (Fortran order); a
     # C-ordered copy gathers rows at a stride of one row.
     y_incl = np.ascontiguousarray(y.data[:, incl.mask])
-    shards = map_slices(
-        lambda s: _ascend(z[s], y_incl[s], incl, model.p, cfg, z0 is None),
-        n, incl.shard_rows, threads,
-    )
-    iters, gnorm, conv = (np.concatenate(records) for records in zip(*shards))
-    return LatentScores(z_hat=z, iterations=iters, grad_norms=gnorm, converged=conv)
+
+    def shard(s: slice):
+        records = _ascend(z[s], y_incl[s], incl, model.p, cfg, z0 is None)
+        return (z[s], *records)  # the moved points: a worker shares no memory
+
+    shards = map_slices(shard, n, incl.shard_rows, threads)
+    z_hat, iters, gnorm, conv = (np.concatenate(parts) for parts in zip(*shards))
+    return LatentScores(z_hat=z_hat, iterations=iters, grad_norms=gnorm, converged=conv)
 
 
 def reconstruct(model: FactorModel, scores: LatentScores) -> np.ndarray:

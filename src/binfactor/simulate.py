@@ -168,9 +168,10 @@ def run_replications(
 
     Replication r draws from a substream keyed by (seed, r), so results are
     identical regardless of ``threads``; the list is in replication order.
-    Replications run on up to ``threads`` threads.  Each replication runs
-    its kernels inline, with no pool of its own, and while the pool runs
-    it holds OpenBLAS to one thread (see ``parallel``).
+    Replications run on up to ``threads`` worker processes, each of which
+    returns its records.  Each replication runs its kernels inline, with no
+    workers of its own, and while the workers run OpenBLAS is held to one
+    thread (see ``parallel``).
     A failing replication yields a record with NaN metrics and the error
     message, and the run continues, so the list always has ``scn.reps``
     records.

@@ -159,13 +159,14 @@ class TestThreads:
     """``fit`` and ``score`` write the same bytes at any ``--threads``."""
 
     def test_fit_and_score_byte_identical(self, tmp_path, data_csv, monkeypatch):
-        from binfactor import gaussian, scores
+        from binfactor import gaussian, model_io, scores
 
         # p = 10 has 45 pairs and the data 100 rows: small units make
-        # several of each, so two threads really split the work.  A budget
+        # several of each, so two workers really split the work.  A budget
         # of 18 cells makes blocks of 2 rows of the 9 included columns.
         monkeypatch.setattr(gaussian, "_CHUNK_PAIRS", 8)
         monkeypatch.setattr(scores, "_CELL_BUDGET", 18)
+        monkeypatch.setattr(model_io, "_SCORE_CHUNK_ROWS", 16)
         outputs = []
         for threads in ("1", "2"):
             model, table = tmp_path / f"m{threads}.json", tmp_path / f"s{threads}.csv"

@@ -399,6 +399,33 @@ class TestWriteScores:
             "1e-07,1e+16,0,0.1,1\n"
         )
 
+    def test_same_bytes_in_chunks_and_on_workers(self, tmp_path, monkeypatch):
+        from binfactor import model_io
+
+        rng = np.random.default_rng(3)
+        scores = LatentScores(
+            z_hat=rng.standard_normal((11, 3)) * 10.0 ** rng.integers(-20, 20, (11, 3)),
+            iterations=rng.integers(0, 30, 11),
+            grad_norms=rng.uniform(0.0, 1e-6, 11),
+            converged=rng.uniform(size=11) < 0.8,
+        )
+        write_scores(scores, tmp_path / "whole.csv")
+        monkeypatch.setattr(model_io, "_SCORE_CHUNK_ROWS", 3)  # chunks of 3, 3, 3 and 2 rows
+        whole = (tmp_path / "whole.csv").read_bytes()
+        for threads in (1, 2, 8):
+            write_scores(scores, tmp_path / f"{threads}.csv", threads=threads)
+            assert (tmp_path / f"{threads}.csv").read_bytes() == whole
+        lines = (tmp_path / "whole.csv").read_text().splitlines()
+        assert len(lines) == 12 and lines[1].split(",")[0] == repr(float(scores.z_hat[0, 0]))
+
+    def test_no_rows(self, tmp_path):
+        scores = LatentScores(
+            z_hat=np.zeros((0, 1)), iterations=np.zeros(0, dtype=int),
+            grad_norms=np.zeros(0), converged=np.zeros(0, dtype=bool),
+        )
+        write_scores(scores, tmp_path / "s.csv", threads=2)
+        assert (tmp_path / "s.csv").read_text() == "z_1,iterations,grad_norm,converged\n"
+
 
 class TestAtomicity:
     def test_no_partial_file_on_bad_directory(self, tmp_path):

@@ -1,10 +1,15 @@
-"""Executor tests: slice layout, ordering, the worker count it asks for, and
-the BLAS thread count its pools run under."""
+"""Executor tests: slice layout, ordering, the workers it forks, that none
+outlives a call, and the BLAS thread count its workers run under."""
 
 import os
+import pickle
+import re
+import signal
 import subprocess
 import sys
 import threading
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,29 +20,34 @@ from binfactor.gaussian import bvn_upper_tail_batch, tetrachoric_invert_batch
 from binfactor.parallel import map_slices, usable_cpus
 
 
-class RecordingPool:
-    """Stands in for ThreadPoolExecutor: records max_workers, runs inline."""
-
-    requested = []
-
-    def __init__(self, max_workers):
-        self.requested.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """After every test, no worker remains, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
-def pool(monkeypatch):
-    RecordingPool.requested = []
-    monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordingPool)
-    return RecordingPool
+def forks(monkeypatch):
+    """The pids of the workers forked during the test, seen from the caller."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def pools(forks):
+    """Worker counts of the calls that forked, for a test that makes one call:
+    the caller is worker 0 and each fork adds one."""
+    return [1 + len(forks)] if forks else []
 
 
 def test_fixed_contiguous_slices_in_order():
@@ -47,23 +57,23 @@ def test_fixed_contiguous_slices_in_order():
 
 @pytest.mark.parametrize("n, size, threads, workers", [
     (10, 4, 2, [2]),
-    (10, 4, 1_000_000, [3]),  # never more threads than slices
-    (10, 4, 1, []),  # inline, no pool
+    (10, 4, 1_000_000, [3]),  # never more workers than slices
+    (10, 4, 1, []),  # inline, no fork
     (3, 4, 8, []),  # one slice: inline
     (0, 4, 8, []),  # no work
 ])
-def test_workers_requested(pool, n, size, threads, workers):
+def test_workers_requested(forks, n, size, threads, workers):
     slices = map_slices(lambda s: s, n, size, threads)
     assert len(slices) == -(-n // size)
-    assert pool.requested == workers
+    assert pools(forks) == workers
 
 
-def test_replications_ask_for_at_most_one_thread_each(pool):
+def test_replications_ask_for_at_most_one_thread_each(forks):
     from binfactor.simulate import SimScenario, run_replications
 
     records = run_replications(SimScenario(d=1, p=4, n=50, reps=2, seed=1), threads=64)
     assert len(records) == 2
-    assert pool.requested == [2]
+    assert pools(forks) == [2]
 
 
 def test_threads_below_one_rejected():
@@ -83,23 +93,26 @@ def test_usable_cpus_follows_the_affinity_mask(monkeypatch):
     assert usable_cpus() == 1
 
 
-def test_stress_more_threads_than_cores(monkeypatch):
-    # Eight threads over 32 chunks, switching every microsecond: every
-    # chunk writes only its own slice, so none of its results is lost and
-    # the inversion equals the serial one bit for bit.
+def test_stress_more_threads_than_cores(monkeypatch, forks):
+    # Eight workers over 32 chunks on two cores: every chunk returns only
+    # its own slice, so none of its results is lost or misplaced and the
+    # inversion equals the serial one bit for bit.
     monkeypatch.setattr(gaussian, "_CHUNK_PAIRS", 64)
     rng = np.random.default_rng(5)
     c1, c2 = rng.uniform(-2.0, 2.0, (2, 2048))
     p = bvn_upper_tail_batch(c1, c2, rng.uniform(-0.95, 0.95, 2048))
     serial = tetrachoric_invert_batch(c1, c2, p)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = tetrachoric_invert_batch(c1, c2, p, threads=8)
-    finally:
-        sys.setswitchinterval(interval)
-    for a, b in zip(serial, threaded):
+    assert forks == []
+    parallel_run = tetrachoric_invert_batch(c1, c2, p, threads=8)
+    assert pools(forks) == [8]
+    for a, b in zip(serial, parallel_run):
         np.testing.assert_array_equal(a, b)
+
+
+def test_empty_batch_keeps_its_dtypes():
+    rho, iterations, clamped = tetrachoric_invert_batch([], [], [], threads=2)
+    assert (rho.dtype, iterations.dtype, clamped.dtype) == (float, np.int64, bool)
+    assert rho.shape == iterations.shape == clamped.shape == (0,)
 
 
 class StubBlas:
@@ -139,7 +152,7 @@ def test_blas_count_restored_when_a_slice_raises(blas):
     with pytest.raises(RuntimeError, match="slice 2"):
         map_slices(fail_on_two, 4, 1, threads=2)
     assert blas.count == 4
-    # The next pool limits and restores again.
+    # The next call limits and restores again.
     assert map_slices(lambda s: blas.count, 2, 1, threads=2) == [1, 1]
     assert blas.count == 4
 
@@ -150,36 +163,32 @@ def test_inline_runs_leave_blas_alone(blas, n, size, threads):
     assert blas.sets == []
 
 
-def test_overlapping_pools_restore_the_original_count(blas):
-    # Pool A opens, pool B opens on another thread, A closes while B still
-    # runs (the limit must hold), then B closes (the count comes back).
-    a_open, b_open, a_closed = threading.Event(), threading.Event(), threading.Event()
+def test_overlapping_pools_restore_the_original_count(blas, forks):
+    # Workers fork only from the main thread with no other thread alive.
+    # So two calls that overlap, B on another thread and A on the main
+    # thread while B runs, both run inline: neither forks, and BLAS keeps
+    # its original count throughout.
+    b_open, a_done = threading.Event(), threading.Event()
     seen_in_b = []
-
-    def slice_of_a(s):
-        a_open.set()
-        assert b_open.wait(10)
-        return blas.count
 
     def slice_of_b(s):
         b_open.set()
-        assert a_closed.wait(10)
-        seen_in_b.append(blas.count)
+        assert a_done.wait(10)
+        return blas.count
 
-    def run_b():
-        assert a_open.wait(10)
-        map_slices(slice_of_b, 2, 1, threads=2)
-
-    b = threading.Thread(target=run_b)
+    b = threading.Thread(target=lambda: seen_in_b.extend(map_slices(slice_of_b, 2, 1, 2)))
     b.start()
-    assert map_slices(slice_of_a, 2, 1, threads=2) == [1, 1]
-    assert blas.count == 1
-    a_closed.set()
-    b.join(10)
+    try:
+        assert b_open.wait(10)
+        assert map_slices(lambda s: blas.count, 2, 1, threads=2) == [4, 4]
+    finally:
+        a_done.set()
+        b.join(10)
     assert not b.is_alive()
-    assert seen_in_b == [1, 1]
+    assert seen_in_b == [4, 4]
     assert blas.count == 4
-    assert blas.sets == [1, 4]
+    assert blas.sets == []
+    assert forks == []
 
 
 def test_loaded_openblas_held_and_restored():
@@ -215,3 +224,127 @@ def test_numpy_openblas_found_without_scipy():
     if mapped == "False":
         pytest.skip("numpy loads no OpenBLAS")
     assert int(n_controls) >= 1 and held == "True"
+
+
+def test_forking_warns_nothing():
+    # Python 3.12 and later warn when a process with more than one thread
+    # forks.  OpenBLAS's own threads stop at a fork (its atfork handler),
+    # and the executor forks only with no other Python thread alive.  The
+    # warning is recorded under "always"; under "error" the interpreter may
+    # swallow it once the fork has happened, but any other warning raises.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert map_slices(lambda s: s.start, 2, 1, threads=2) == [0, 1]
+    assert [str(w.message) for w in caught] == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert map_slices(lambda s: s.start, 2, 1, threads=2) == [0, 1]
+
+
+def test_results_come_back_in_slice_order_from_every_worker(forks):
+    got = map_slices(lambda s: (os.getpid(), s.start), 7, 1, threads=3)
+    assert [start for _, start in got] == list(range(7))
+    # Worker w runs slices w, w + 3, ...; the caller is worker 0.
+    assert [pid for pid, _ in got] == [os.getpid(), *forks] * 2 + [os.getpid()]
+
+
+def test_slice_exception_raised_in_the_caller():
+    def fail_in_worker_one(s):
+        if s.start == 1:
+            raise ValueError(f"slice {s.start} failed")
+        return s.start
+
+    with pytest.raises(ValueError, match="slice 1 failed"):
+        map_slices(fail_in_worker_one, 4, 1, threads=2)
+
+
+class TwoArgumentError(Exception):
+    """Pickles, but does not unpickle: its constructor wants two arguments."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def test_exception_that_does_not_pickle_comes_back_as_its_repr():
+    with pytest.raises(TypeError):
+        pickle.loads(pickle.dumps(TwoArgumentError(1, 2)))
+
+    def fail_in_worker_one(s):
+        if s.start == 1:
+            raise TwoArgumentError("this", "that")
+        return s.start
+
+    with pytest.raises(RuntimeError, match=re.escape("TwoArgumentError('this and that')")):
+        map_slices(fail_in_worker_one, 2, 1, threads=2)
+
+
+@pytest.mark.parametrize("end, status", [
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9 "),
+    (lambda: os._exit(3), "exit status 3"),
+    (lambda: os._exit(0), "exit status 0"),
+])
+def test_worker_that_dies_without_a_result(end, status):
+    def die_in_worker_one(s):
+        if s.start == 1:
+            end()
+        return s.start
+
+    with pytest.raises(RuntimeError, match=r"worker 1 \(pid \d+\) ended without a result: "
+                       + re.escape(status)):
+        map_slices(die_in_worker_one, 2, 1, threads=2)
+
+
+@pytest.mark.parametrize("interrupt", [KeyboardInterrupt, ValueError])
+def test_caller_raising_kills_and_reaps_the_workers(forks, interrupt):
+    # Worker 1 would sleep for a minute; worker 0, the caller, raises at
+    # once, and the call ends without waiting for it.
+    def slice_(s):
+        if s.start == 0:
+            raise interrupt("stop")
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(interrupt, match="stop"):
+        map_slices(slice_, 2, 1, threads=2)
+    assert time.monotonic() - start < 30
+    assert len(forks) == 1
+    with pytest.raises(ProcessLookupError):
+        os.kill(forks[0], 0)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="PR_SET_PDEATHSIG is Linux's")
+def test_worker_dies_with_a_killed_caller():
+    # The caller prints its worker's pid and sleeps inside its own slice;
+    # SIGKILL gives it no chance to clean up, so the kernel must end the
+    # worker.  A benchmark watchdog kills only the process it started.
+    code = (
+        "import os, sys, time\n"
+        "from binfactor.parallel import map_slices\n"
+        "def slice_(s):\n"
+        "    if s.start == 1:\n"
+        "        print(os.getpid(), flush=True)\n"
+        "    time.sleep(60)\n"
+        "map_slices(slice_, 2, 1, threads=2)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(parallel.__file__).parents[1])}
+    caller = subprocess.Popen([sys.executable, "-c", code], env=env,
+                              stdout=subprocess.PIPE, text=True)
+    try:
+        worker = int(caller.stdout.readline())
+    finally:
+        caller.kill()
+        caller.wait(10)
+        caller.stdout.close()
+    deadline = time.monotonic() + 10
+    while _alive(worker) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not _alive(worker)
+
+
+def _alive(pid):
+    """Whether ``pid`` runs: a zombie waiting for its new parent to reap it has ended."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
