@@ -2,10 +2,9 @@
 
 The standard-normal functions need numpy and the standard library only.
 ``std_normal_tail`` and ``std_normal_cdf`` port the Cephes rationals that
-``scipy.special.ndtr`` evaluates, branch-free and optionally in place, so
-the scoring kernel runs them on its own buffers; ``erfcx`` reuses the
-erfc rationals for the kernel's far tail; ``std_normal_quantile`` is
-``statistics.NormalDist.inv_cdf`` (Wichura's AS 241).
+``scipy.special.ndtr`` evaluates, branch-free; ``erfcx`` takes them to the
+scaled tail on [0, inf), in place for the scoring kernel's buffers;
+``std_normal_quantile`` is ``statistics.NormalDist.inv_cdf`` (Wichura's AS 241).
 
 The central object is the upper tail probability of a standard bivariate
 normal pair with correlation ``rho``,
@@ -105,6 +104,9 @@ _MAXLOG = 7.09782712893383996843e2
 # 1 - u + 3u^2 - 15u^3 + 105u^4 - 945u^5, u = 1 / (2 t^2), whose next term is
 # below 1e-16 here; the R / S rational drifts to 2.7e-15 relative by t = 1e6.
 _ERFCX_SERIES_START = 50.0
+# erfcx(t) is (1 - erf t) exp(t^2) below this t, whose error nears 1.9e-15 at
+# t = 1, and P / Q from it on, whose error is 1.7e-15 at 0.9: both <= 1.5e-15.
+_ERFCX_ERF_END = 0.91
 _ERFCX_SERIES = (-945.0, 105.0, -15.0, 3.0, -1.0, 1.0)
 _SQRT_HALF = math.sqrt(0.5)
 _SQRT_PI = math.sqrt(math.pi)
@@ -174,7 +176,7 @@ def std_normal_cdf(x):
     return std_normal_tail(np.negative(np.asarray(x, dtype=float)))[()]
 
 
-def std_normal_tail(x, out=None, work=None):
+def std_normal_tail(x):
     """Upper tail P(X > x) = Phi(-x) of the standard normal, elementwise.
 
     An operation-for-operation port of the Cephes ``ndtr``, ``erf`` and
@@ -183,23 +185,17 @@ def std_normal_tail(x, out=None, work=None):
     is 0.5 - 0.5 erf(s) while |s| < 1, and otherwise erfc(|s|) / 2, taken
     from 1 where x < 0; erfc is 0 once s^2 exceeds ``_MAXLOG``, so the
     infinities give exactly 0 and 1.  It has the relative precision of
-    erfc in the tail, about 1e-16, down to the underflow near x = -38.5.
+    erfc in the tail, about 1e-16, down to the underflow near x = +38.5.
 
     Every value takes the operations of the erf rational and of P / Q, and
-    an integer blend keeps the one its branch selects; the values with
-    |s| >= 8, which take R / S and the underflow rule, are few and are
-    taken by index.  So a value depends on its own x only, not on the
-    others in the array.  With libm's exp in ``_exp`` it equals scipy's bit
-    for bit; numpy's own exp moves about 2% of values, by at most 4 ulps.
-
-    The result goes to ``out`` and the temporaries to ``work`` (4 x the
-    shape of x), which are allocated when not given; neither may overlap x.
+    ``_blend`` keeps the one its branch selects; the values with |s| >= 8,
+    which take R / S and the underflow rule, are few and are taken by
+    index.  So a value depends on its own x only, not on the others in the
+    array.  With libm's exp in ``_exp`` it equals scipy's bit for bit;
+    numpy's own exp moves about 2% of values, by at most 4 ulps.
     """
     x = np.asarray(x, dtype=float)
-    if out is None:
-        out = np.empty(x.shape)
-    if work is None:
-        work = np.empty((4,) + x.shape)
+    out, work = np.empty(x.shape), np.empty((4,) + x.shape)
     z, ez, small, den = (work[k, ...] for k in range(4))  # arrays even when x is 0-d
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(x, _SQRT_HALF, out=z)  # s
@@ -230,13 +226,7 @@ def std_normal_tail(x, out=None, work=None):
         neg = x < 0.0
         if neg.any():
             np.copyto(out, np.subtract(1.0, out, out=den), where=neg)
-        # out = small where |s| < 1, bit for bit, in integer passes: a
-        # masked np.copyto takes about four times as long on many values.
-        bits = out.view(np.uint64)
-        pick = np.less(z, 1.0, out=den.view(np.uint64))
-        flips = np.bitwise_xor(bits, small.view(np.uint64), out=ez.view(np.uint64))
-        flips *= pick
-        np.bitwise_xor(bits, flips, out=bits)
+        _blend(out, small, np.less(z, 1.0, out=den.view(np.uint64)))
     return out
 
 
@@ -253,32 +243,52 @@ def std_normal_quantile(p):
     return q.reshape(p.shape)[()]
 
 
-def erfcx(t):
-    """The scaled complementary error function exp(t^2) erfc(t), for t >= 1.
+def erfcx(t, out=None, work=None):
+    """The scaled complementary error function exp(t^2) erfc(t), for t >= 0.
 
-    The Cephes erfc rationals of ``std_normal_tail`` without their
-    exp(-t^2) factor: P / Q on [1, 8) and R / S on [8, 50).  From t = 50 on
-    it is the asymptotic series (1 / (t sqrt pi)) (1 - 1/(2t^2) + 3/(4t^4)
-    - ...) to six terms, since R / S loses relative accuracy as t grows.
-    Within 1e-15 relative of mpmath on [3.5, 1e300].  Below 1 the value is
-    nan.
+    ``std_normal_tail``'s rationals without its exp(-t^2) factor: (1 - erf t)
+    exp(t^2) below t = 0.91, P / Q up to 8 and R / S up to 50; from 50 on,
+    where R / S loses relative accuracy, the asymptotic series (1 / (t sqrt
+    pi)) (1 - 1/(2t^2) + 3/(4t^4) - ...) to six terms.  As there, every value
+    takes the first two and ``_blend`` keeps one, and the values from 8 on
+    are taken by index, so a value depends on its own t only.  Within
+    1.5e-15 relative of mpmath on [0, 1e300]; negative t gives nan.  The
+    result goes to ``out`` and the temporaries to ``work`` (3 x the shape of
+    t), allocated when not given; neither may overlap t.
     """
     t = np.asarray(t, dtype=float)
-    out, den = np.empty(t.shape), np.empty(t.shape)
+    out = np.empty(t.shape) if out is None else out
+    work = np.empty((3,) + t.shape) if work is None else work
+    t2, small, den = (work[k, ...] for k in range(3))  # arrays even when t is 0-d
     with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(t, t, out=t2)
+        # t < 0.91: (1 - t T(t^2) / U(t^2)) exp(t^2)
+        _polevl(t2, _ERF_T, small)
+        small *= t
+        small /= _p1evl(t2, _ERF_U, den)
+        np.subtract(1.0, small, out=small)
+        small *= np.exp(t2, out=t2)
         _polevl(t, _ERFC_P, out)
         out /= _p1evl(t, _ERFC_Q, den)
-        far = t >= 8.0
-        if far.any():
-            _polevl(t, _ERFC_R, den)
-            np.copyto(out, den / _p1evl(t, _ERFC_S, np.empty(t.shape)), where=far)
-        series = t >= _ERFCX_SERIES_START
-        if series.any():
-            u = np.divide(0.5, t * t, out=den)  # 1 / (2 t^2)
-            total = _polevl(u, _ERFCX_SERIES, np.empty(t.shape))
-            np.copyto(out, total / (t * _SQRT_PI), where=series)
-        np.copyto(out, np.nan, where=~(t >= 1.0))
-    return out[()]
+        far = np.flatnonzero(t >= 8.0)  # few values, taken by index
+        if far.size:
+            t_far = np.take(t, far)
+            rs = _polevl(t_far, _ERFC_R, np.empty(far.size))
+            rs /= _p1evl(t_far, _ERFC_S, np.empty(far.size))
+            total = _polevl(0.5 / (t_far * t_far), _ERFCX_SERIES, np.empty(far.size))
+            np.put(out, far, np.where(t_far < _ERFCX_SERIES_START, rs, total / (t_far * _SQRT_PI)))
+        _blend(out, small, np.less(t, _ERFCX_ERF_END, out=den.view(np.uint64)))
+        np.put(out, np.flatnonzero(t < 0.0), np.nan)
+    return out if out.ndim else out[()]
+
+
+def _blend(out, value, pick):
+    """out = value where pick (uint64 0 or 1), bit for bit, overwriting value:
+    integer passes, since a masked np.copyto takes about four times as long."""
+    bits = out.view(np.uint64)
+    flips = np.bitwise_xor(bits, value.view(np.uint64), out=value.view(np.uint64))
+    flips *= pick
+    np.bitwise_xor(bits, flips, out=bits)
 
 
 def _polevl(x, coefs, out):

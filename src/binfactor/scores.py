@@ -3,7 +3,8 @@
 Each sample's latent position maximizes the probit log-likelihood over the
 fitted model, restricted to components whose noise standard deviation
 exceeds a threshold picked so that m% of components participate (small
-noise variances otherwise destabilize the objective).  The objective is
+noise variances otherwise destabilize the objective), less any whose
+variance sits on the fit's floor ``spectral.TAU2_FLOOR``.  The objective is
 globally concave, so a damped Newton ascent on its observed curvature,
 started from the origin, finds the maximizer; rows are independent and
 optimized simultaneously.  (The paper names Fisher scoring; probit is not
@@ -42,10 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import erfcx, std_normal_tail
+from .gaussian import erfcx
 from .moments import BinaryMatrix
 from .parallel import map_slices
-from .spectral import FactorModel
+from .spectral import TAU2_FLOOR, FactorModel
 
 _ALPHA_MIN = 1e-12  # smallest step-halving factor before a step is abandoned
 
@@ -62,14 +63,14 @@ _SHARD_ROWS = 8192
 # max |psi'''| for psi = log Phi (0.295719 at x = 1.0024), rounded up.  A
 # cell's third derivative in x is at most this at any y in [0, 1].
 _PSI3_MAX = 0.2958
-# Rounding of one cell's dx, in ulps, on top of a row sum's m.
+# Rounding of one cell's dx, in ulps of sqrt(2 |ll cell|) + 2, on top of a
+# row sum's m (at most 3.3 against mpmath for |x| <= 40).
 _CELL_ULPS = 64
-# |x| up to which the kernel's curvature cells hold 1e-12 (see ``_kernel``);
-# a row whose cells may pass it is never certified.
-_CERT_X_MAX = 40.0
-_LOG_SPACE_MAX = 5.0  # |x| past which the kernel's tail values use erfcx
+# A curvature cell errs by at most _CURV_ERR while |x| <= _CERT_X_MAX (by
+# 1.24e-12 at |x| = 39.9 against mpmath); a row whose cells may pass that
+# |x| is never certified.
+_CERT_X_MAX, _CURV_ERR = 40.0, 2e-12
 
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -152,9 +153,11 @@ def estimate_scores(
     ``threads``, the number of worker processes that run the row shards
     (see ``parallel``).
 
-    Rows start at the origin, or at their rows of ``z0`` (n x d, finite).
-    With no component included every row converges at its start after 0
-    steps.
+    Components take part when their noise scale passes the
+    ``select_tau_threshold`` cut and their variance is above
+    ``spectral.TAU2_FLOOR``, even if fewer than m% then do.  Rows start at
+    the origin, or at their rows of ``z0`` (n x d, finite).  With no
+    component included every row converges at its start after 0 steps.
     """
     cfg = cfg or ScoreConfig()
     if model.p != y.p:
@@ -282,13 +285,14 @@ def _certify(ll, g, curv, step, z, incl: _Inclusion, tol: float):
     exceeds the rounding of two computed ll: the halving test would then
     accept z + s and the evaluation there would stop the row.
 
-    The weighted row sums are sequential, so each errs by at most
-    (m + ``_CELL_ULPS``) ulps of the sum of its terms' magnitudes (Higham
-    2002, ch. 4).  For the gradient that sum is at most
-    sqrt(-2 f K2) + 2 K1, with K1 and K2 the means over p of |bt_j| and
-    |bt_j|^2, since a cell's |dx| is at most sqrt(2 |ll cell|) + 2.  The
-    curvature cells lie in [0, 1], so |H| <= K2, and err by at most 1e-12
-    while |x| <= 40 (``_kernel``); past that m (m - a) cancels and the
+    The weighted row sums are sequential, so each errs by at most m ulps
+    of the sum of its terms' magnitudes (Higham 2002, ch. 4), plus its
+    cells' own errors.  A cell's |dx| is at most sqrt(2 |ll cell|) + 2, and
+    errs by at most ``_CELL_ULPS`` ulps of that, so the gradient errs by
+    at most m + ``_CELL_ULPS`` ulps of sqrt(-2 f K2) + 2 K1, with K1 and K2
+    the means over p of |bt_j| and |bt_j|^2.  The curvature cells lie in
+    [0, 1], so |H| <= K2, and err by at most ``_CURV_ERR`` while
+    |x| <= 40 (``_kernel``); past that m (m - a) cancels and the
     error grows as a^2 eps, so a row is certified only when every cell has
     |x| <= max_j |bt_j| |z| + max_j |ct_j| <= 40 (``incl.reach``).  numpy
     sums the ll cells pairwise, in eight interleaved partial sums below 128
@@ -308,7 +312,7 @@ def _certify(ll, g, curv, step, z, incl: _Inclusion, tol: float):
     k1, k2 = incl.norm_means
     rn = np.linalg.norm(g - np.einsum("ijk,ik->ij", curv, step), axis=1)
     err_g = (m + _CELL_ULPS) * eps * (np.sqrt(-2.0 * k2 * ll) + 2.0 * k1)
-    err_h = ((m + _CELL_ULPS) * eps + 1e-12) * k2
+    err_h = ((m + _CELL_ULPS) * eps + _CURV_ERR) * k2
     err_z = eps * k2 * np.linalg.norm(z + step, axis=1)
     bound[near] = rn + 2.0 * err_g + err_z + sn * (err_h + 0.5 * lip * sn)
     rise = 0.5 * (np.einsum("ij,ij->i", g, step) - sn * rn) - sn * (
@@ -359,10 +363,10 @@ class _Inclusion:
 
 def _inclusion(model: FactorModel, tau: float) -> _Inclusion:
     tau_sd = np.sqrt(np.maximum(model.tau2_hat, 0.0))
-    # A component with zero noise scale has a degenerate probit; it can
-    # only pass the indicator when tau < 0, which the threshold rule never
-    # produces for usable variances, so it is excluded outright.
-    mask = (tau_sd > tau) & (tau_sd > 0.0)
+    # A variance at or below ``TAU2_FLOOR`` (floored or zero) puts loadings
+    # near 1e5 noise units, where the gradient's rounding passes any usable
+    # tolerance: it never enters, even if fewer than m% then take part.
+    mask = (tau_sd > tau) & (model.tau2_hat > TAU2_FLOOR)
     scale = tau_sd[mask]
     # C order: the einsum contractions' order follows the operands' layout.
     bt_ct = ((model.b_hat[mask] / scale[:, None]).T, model.c_hat[mask] / scale)
@@ -395,8 +399,8 @@ def _inclusion(model: FactorModel, tau: float) -> _Inclusion:
 
 def _workspace(rows: int, m: int):
     """The kernel's temporaries for blocks of up to ``rows`` rows: nine float
-    and two boolean (rows x m) buffers, which a shard reuses throughout."""
-    return np.empty((9, rows, m)), np.empty((2, rows, m), dtype=bool)
+    and one boolean (rows x m) buffers, which a shard reuses throughout."""
+    return np.empty((9, rows, m)), np.empty((rows, m), dtype=bool)
 
 
 def _evaluate(z, y_incl, rows, incl: _Inclusion, p: int, work=None):
@@ -421,12 +425,12 @@ def _evaluate(z, y_incl, rows, incl: _Inclusion, p: int, work=None):
     packed = np.empty((n, len(incl.pairs)))
     for s in range(0, n, incl.block_rows):
         e = min(s + incl.block_rows, n)
-        floats, flags = (buf[:, : e - s] for buf in work)
+        floats, neg = (buf[..., : e - s, :] for buf in work)
         y = y_incl[rows[s:e]]
         if z is None:
             cells = [_pick(y, pair, out) for pair, out in zip(incl.origin, floats)]
         else:
-            cells = _kernel(z1[s:e], y, incl.affine, floats, flags)
+            cells = _kernel(z1[s:e], y, incl.affine, floats, neg)
         _row_sums(*cells, incl, ll[s:e], g[s:e], packed[s:e])
     return ll / p, g / p, packed[:, incl.unpack] / p
 
@@ -445,61 +449,47 @@ def _pick(y, pair, out):
     return out
 
 
-def _kernel(z1, y, affine, floats, flags):
+def _kernel(z1, y, affine, floats, neg):
     """Per-cell log-likelihood, x-derivative and observed curvature of a
     block: points ``z1`` (rows x d + 1, each z_i with a last coordinate of
     -1), data ``y`` (rows x components), and ``affine`` (``_Inclusion``).
 
     Cell (i, j) adds y log Phi(x) + (1 - y) log Phi(-x), x = bt_j . z_i - ct_j.
-    With a = |x|, ``gaussian.std_normal_tail`` gives Phi(-a) to full
-    relative precision, and log Phi(+-a) and the Mills ratios
-    phi(a) / Phi(+-a) follow in log space.  Past a = 5, log phi(a) -
-    log Phi(-a) loses relative precision (1e-11 at a = 1000) and past 37.5
-    Phi(-a) underflows, so there ``gaussian.erfcx(a / sqrt 2)`` gives both.
-    Everything stays exact and finite while a^2 does.
+    With a = |x| and s = a / sqrt 2, every cell takes one path from E =
+    ``gaussian.erfcx(s)`` = 2 Phi(-a) exp(s^2): phi(a) / Phi(-a) = sqrt(2 /
+    pi) / E, log Phi(-a) = log(E / 2) - s^2 and Phi(-a) its exp, then log
+    Phi(a) = log1p(-Phi(-a)) and phi(a) / Phi(a).  Nothing cancels or
+    underflows on the way, so all stay accurate and finite while s^2 does.
 
     The cell's observed curvature -d^2/dx^2 is m (m + a) on the large side,
     with m = phi(a) / Phi(a), and m (m - a) on the small side, with
     m = phi(a) / Phi(-a).  Weighted by each side's share of y it is the
     exact second derivative at fractional y as well.  The probit
     likelihood is log-concave, so both lie in [0, 1] and the Newton system
-    is positive semidefinite.  m (m - a) cancels as a grows; for |x| <= 40
-    it is accurate to about 1e-12 relative.
+    is positive semidefinite.  m (m - a) cancels as a grows: for |x| <= 40
+    it errs by at most 1.24e-12 against mpmath, about 8e-16 a^2.
 
     Every (rows x components) temporary is written in place, with ``out=``,
-    into the buffers ``floats`` (9 x rows x components) and ``flags``
-    (2 x rows x components); the three results are views of them, and the
-    Phi(-a) pass takes four of the float buffers as its work space before
-    they hold anything else.  Each
-    value takes the same floating-point operations in the same order as the
-    plain expressions in the comments.  The product x is one ``einsum``
-    that adds bt_1 z_1, ..., bt_d z_d and -ct in turn, not BLAS.  A cell's
-    values depend only on its own x and y, so the cells that ``_evaluate``
-    gathers from the origin table are those this would compute there.
+    into the buffers ``floats`` (9 x rows x components) and ``neg``
+    (rows x components, boolean); the three results are views of them, and
+    ``erfcx`` takes three of the float buffers as its work space before
+    they hold anything else.  Each value takes the same floating-point
+    operations in the same order as the plain expressions in the comments.
+    The product x is one ``einsum`` that adds bt_1 z_1, ..., bt_d z_d and
+    -ct in turn, not BLAS.  A cell's values depend only on its own x and y,
+    so the cells that ``_evaluate`` gathers from the origin table are those
+    this would compute there.
     """
     x, tail, log_small, mills_small, log_large, mills_large, w, w_small, sign = floats
-    neg, far = flags
     np.einsum("ik,kj->ij", z1, affine, out=x)  # bt . z - ct, in that order
     np.less(x, 0.0, out=neg)
     a = np.abs(x, out=x)
-    std_normal_tail(a, out=tail, work=floats[2:6])  # Phi(-a)
-    np.greater(a, _LOG_SPACE_MAX, out=far)
-    any_far = far.any()
-    if any_far:
-        tail[far] = 0.5  # a placeholder that keeps the logs below finite
-    np.log(tail, out=log_small)  # log Phi(-a)
-    # phi(a) / Phi(-a) = exp(-a^2 / 2 - log sqrt(2 pi) - log Phi(-a))
-    np.multiply(-0.5, a, out=mills_small)
-    mills_small *= a
-    mills_small -= _LOG_SQRT_2PI
-    mills_small -= log_small
-    np.exp(mills_small, out=mills_small)
-    if any_far:
-        a_far = a[far]
-        ex = erfcx(a_far * _SQRT_HALF)  # 2 Phi(-a) exp(a^2 / 2)
-        log_small[far] = np.log(0.5 * ex) - 0.5 * a_far * a_far
-        mills_small[far] = _SQRT_2_OVER_PI / ex
-        tail[far] = np.exp(log_small[far])
+    s = np.multiply(a, _SQRT_HALF, out=tail)
+    ex = erfcx(s, out=mills_small, work=floats[4:7])  # E = 2 Phi(-a) exp(s^2)
+    np.log(np.multiply(ex, 0.5, out=log_small), out=log_small)
+    log_small -= np.multiply(s, s, out=s)  # log Phi(-a) = log(E / 2) - s^2
+    np.exp(log_small, out=tail)  # Phi(-a)
+    np.divide(_SQRT_2_OVER_PI, ex, out=mills_small)  # phi(a) / Phi(-a)
     np.log1p(np.negative(tail, out=log_large), out=log_large)  # log Phi(a)
     np.multiply(mills_small, tail, out=mills_large)
     mills_large /= np.subtract(1.0, tail, out=tail)  # phi(a) / Phi(a)

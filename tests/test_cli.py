@@ -255,14 +255,9 @@ class TestDegenerateInputs:
         z_hat = table[:, :d]
         assert z_hat.shape == y.shape[:1] + (d,)
         assert np.isfinite(z_hat).all()
-        converged = table[:, -1] == 1
-        if case.startswith("not PSD"):
-            # Three noise variances sit on the 1e-10 floor, so loadings
-            # reach 1e5 in noise units and the gradient's rounding floor
-            # lies near the 1e-8 tolerance: a row may stall at rounding
-            # (a gradient of at most 1e-6) instead of converging.
-            converged |= table[:, -2] <= 1e-6
-        assert converged.all()
+        # Noise variances on the 1e-10 floor (three for "not PSD") are left
+        # out of the likelihood, so no row stalls at their rounding.
+        assert (table[:, -1] == 1).all()
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
 

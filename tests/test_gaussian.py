@@ -117,15 +117,13 @@ class TestStdNormalCdf:
         assert out[0] == 0.0 and out[1] == 1.0 and np.isnan(out[2])
         assert std_normal_cdf(-np.inf) == 0.0 and std_normal_cdf(np.inf) == 1.0
 
-    def test_tail_in_place_is_each_value_alone(self):
-        # The kernel's form: result in ``out``, temporaries in ``work``.  A
-        # value does not depend on the others, on either side of |s| = 8.
+    def test_tail_is_each_value_alone(self):
+        # A value does not depend on the others, on either side of |s| = 8.
         x = np.random.default_rng(3).uniform(-15.0, 15.0, (40, 25))
-        out, work = np.empty(x.shape), np.empty((4,) + x.shape)
-        assert std_normal_tail(x, out=out, work=work) is out
+        tail = std_normal_tail(x)
         alone = np.array([std_normal_tail(v) for v in x.ravel()]).reshape(x.shape)
-        assert np.array_equal(out, alone)
-        assert np.array_equal(out, std_normal_cdf(-x))
+        assert np.array_equal(tail, alone)
+        assert np.array_equal(tail, std_normal_cdf(-x))
 
 
 class TestErfcx:
@@ -144,18 +142,47 @@ class TestErfcx:
                     term *= -(2 * k + 1) * u
                 return total / (t * mp.sqrt(mp.pi))
 
+            def worst(t):
+                errors = ((mp.mpf(g) - exact(v)) / exact(v) for g, v in zip(erfcx(t), t))
+                return max(abs(float(e)) for e in errors)
+
             rng = np.random.default_rng(11)
-            t = np.concatenate((
+            t_high = np.concatenate((
                 np.exp(rng.uniform(math.log(3.5), math.log(1e300), 2000)),
                 np.linspace(3.5, 60.0, 2000),
                 [3.5, 8.0, 50.0, 1e6, 1e51, 1e300],
+                np.nextafter([8.0, 50.0], 0.0),
+                np.nextafter([8.0, 50.0], 99.0),
             ))
-            got = erfcx(t)
-            worst = max(abs(float((mp.mpf(g) - exact(v)) / exact(v))) for g, v in zip(got, t))
-        assert worst <= 1e-15
+            # Below 3.5, densest near the branch edge at 0.91, where 1 - erf t
+            # scales the erf rational's rounding most.
+            rng = np.random.default_rng(12)
+            t_low = np.concatenate((
+                np.linspace(0.0, 3.5, 4000, endpoint=False),
+                rng.uniform(0.8, 1.1, 4000),
+                [5e-324, 1e-8, 0.91, np.nextafter(0.91, 0.0), np.nextafter(0.91, 1.0)],
+            ))
+            assert worst(t_low) <= 1.5e-15
+            assert worst(t_high) <= 1e-15
 
-    def test_below_one_is_nan(self):
-        assert np.isnan(erfcx(0.5)) and not np.isnan(erfcx(1.0))
+    def test_below_zero_is_nan(self):
+        got = erfcx(np.array([-1e-300, -0.5, -10.0, -np.inf, 0.0, -0.0]))
+        assert np.isnan(got[:4]).all() and np.array_equal(got[4:], [1.0, 1.0])
+        assert np.isnan(erfcx(-0.5))
+
+    def test_in_place_is_each_value_alone(self):
+        # The kernel's form: result in ``out``, temporaries in ``work``.  A
+        # value does not depend on the others, on either side of each
+        # branch edge.
+        rng = np.random.default_rng(3)
+        t = rng.permutation(np.concatenate((
+            rng.uniform(0.0, 1.2, 400), rng.uniform(1.2, 12.0, 300), rng.uniform(12.0, 80.0, 300)
+        ))).reshape(40, 25)
+        out, work = np.empty(t.shape), np.empty((3,) + t.shape)
+        assert erfcx(t, out=out, work=work) is out
+        alone = np.array([erfcx(v) for v in t.ravel()]).reshape(t.shape)
+        assert np.array_equal(out, alone)
+        assert np.array_equal(out, erfcx(t))
 
 
 class TestStdNormalQuantile:

@@ -12,7 +12,6 @@ from binfactor.gaussian import std_normal_cdf
 from binfactor import scores as scores_module
 from binfactor.moments import BinaryMatrix
 from binfactor.scores import (
-    _LOG_SPACE_MAX,
     _certify,
     _evaluate,
     _inclusion,
@@ -23,7 +22,7 @@ from binfactor.scores import (
     reconstruct,
     select_tau_threshold,
 )
-from binfactor.spectral import FactorModel
+from binfactor.spectral import TAU2_FLOOR, FactorModel
 
 
 def make_model(p, d, seed, tau2=None, c=None):
@@ -214,8 +213,16 @@ def unit_probit_model():
     )
 
 
-TAIL_POINTS = [(x, y) for x in (8.0, 12.0, 20.0, 30.0, 40.0) for y in (0, 1)] + [
-    (-x, y) for x in (8.0, 12.0, 20.0, 30.0, 40.0) for y in (0, 1)
+# |x| past any probability floor; the edges of erfcx's branches in
+# s = |x| / sqrt 2 (0, 0.91, 8 and 50); and s = 1, with its float
+# neighbours, and |x| = 5, where Phi's branches and the kernel's used to meet.
+ROOT2 = math.sqrt(2.0)
+TAIL_MAGNITUDES = (
+    0.0, 0.5, 0.91 * ROOT2, np.nextafter(ROOT2, 0.0), ROOT2, np.nextafter(ROOT2, 2.0),
+    3.0, 5.0, 8.0 * ROOT2, 50.0 * ROOT2, 8.0, 12.0, 20.0, 30.0, 40.0,
+)
+TAIL_POINTS = [(x, y) for x in TAIL_MAGNITUDES for y in (0, 1)] + [
+    (-x, y) for x in TAIL_MAGNITUDES if x > 0.0 for y in (0, 1)
 ]
 
 
@@ -434,6 +441,27 @@ class TestEstimateScores:
         np.testing.assert_array_equal(scores.grad_norms, np.zeros(y.n))
         np.testing.assert_array_equal(scores.iterations, np.zeros(y.n, dtype=int))
 
+    def test_floored_noise_left_out(self):
+        # Noise variances on spectral.TAU2_FLOOR never enter the likelihood,
+        # even at m = 100%, where the threshold rule alone would include
+        # them: their columns' data move no score.
+        y, model = self._simulated(seed=25)
+        tau2 = model.tau2_hat.copy()
+        tau2[[0, 3]] = TAU2_FLOOR
+        floored = FactorModel(
+            d=model.d, p=model.p, c_hat=model.c_hat, b_hat=model.b_hat, tau2_hat=tau2,
+            eigvals=model.eigvals,
+        )
+        incl = _inclusion(floored, select_tau_threshold(tau2, 100.0))
+        np.testing.assert_array_equal(incl.mask, tau2 > TAU2_FLOOR)
+        flipped = y.data.copy()
+        flipped[:, [0, 3]] ^= 1
+        cfg = ScoreConfig(m_percent=100.0)
+        a = estimate_scores(y, floored, cfg)
+        b = estimate_scores(BinaryMatrix(flipped), floored, cfg)
+        for field in ("z_hat", "iterations", "grad_norms", "converged"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_start_rejected(self, bad):
         y, model = self._simulated(seed=26)
@@ -538,14 +566,15 @@ class TestEstimateScores:
     def test_row_scored_alone_matches_block(self, d, monkeypatch):
         # A block of one row sums that row's components as a full block
         # does, whether the row is scored alone or every block holds one
-        # row.  The farthest row ends with a cell past the erfcx switch.
+        # row.  The farthest row ends with a cell in erfcx's by-index
+        # branch, s = |x| / sqrt 2 >= 8.
         y, model = self._simulated(d=d, seed=29)
         block = estimate_scores(y, model)
         incl = _inclusion(model, select_tau_threshold(model.tau2_hat, 90.0))
         assert incl.block_rows >= y.n
         x_max = np.abs(block.z_hat @ incl.bt - incl.ct).max(axis=1)
         far = int(np.argmax(x_max))
-        assert x_max[far] > _LOG_SPACE_MAX
+        assert x_max[far] > 8.0 * math.sqrt(2.0)
         for i in [0, 1, far, y.n - 1]:
             alone = estimate_scores(BinaryMatrix(y.data[i : i + 1]), model)
             np.testing.assert_array_equal(alone.z_hat[0], block.z_hat[i])
@@ -695,12 +724,13 @@ class TestCertifiedStep:
         assert (unchecked.grad_norms != b.grad_norms).mean() > 0.5
 
     def test_floored_noise_never_certified(self, monkeypatch):
-        # Noise variances at the 1e-10 floor put the loadings over tau near
-        # 1e5 and L near 1e14: no step is short enough to certify, so the
-        # scores are those of the uncertified run in every field.
+        # Noise variances of 4e-10, just above the 1e-10 floor that would
+        # leave them out, put the loadings over tau near 5e4 and L above
+        # 1e12: no step is short enough to certify, so the scores are those
+        # of the uncertified run in every field.
         y, model = TestEstimateScores()._simulated(n=300, p=6, d=2, seed=37)
         floored = FactorModel(
-            d=2, p=6, c_hat=model.c_hat, b_hat=model.b_hat, tau2_hat=np.full(6, 1e-10),
+            d=2, p=6, c_hat=model.c_hat, b_hat=model.b_hat, tau2_hat=np.full(6, 4e-10),
             eigvals=model.eigvals,
         )
         cfg = ScoreConfig(m_percent=100.0)
