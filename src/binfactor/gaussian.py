@@ -37,22 +37,22 @@ Against mpmath its relative error is 1.1e-13 or better for ell >= 1e-40,
 from data (at least 1/n) never go that deep.  ``_flat_pairs`` checks and
 orders c1 <= c2 for every public function, so results are bitwise symmetric.
 
-All bivariate work runs in one batched kernel: ``bvn_upper_tail_batch``
-evaluates ``ell`` and ``tetrachoric_invert_batch`` inverts it for arrays of
-pairs, and the scalar ``bvn_upper_tail`` and ``tetrachoric_invert`` are
-1-element calls to them.  The inversion has one edge, ``1 - RHO_CLAMP``;
-a root beyond it is returned clamped there.  Pairs that need the same
-number of panels are stacked into dense arrays of at most ``_NODE_BUDGET``
-(2**16) quadrature nodes, so the quadrature's temporaries stay at 512 KB
-however many panels a tail pair needs.  The inversion works through its
-pairs in chunks of ``_CHUNK_PAIRS`` (16384), which run on up to
-``threads`` worker processes.  Each pair is computed from its own values
-only and summed along its own contiguous row, so its result is bitwise the
-same alone, in any batch, in any order, on either side of a chunk or
-node-budget boundary and at any worker count.  An inversion computes each
-pair's three Phi values, Phi(-lo), Phi(-hi) and Phi(lo) with
-lo = min(c1, c2) and hi = max(c1, c2), once, and passes them to every
-evaluation of ``ell``.
+All bivariate work runs in one batched kernel, on broadcastable arrays of
+pairs: ``bvn_upper_tail_batch``, ``bvn_upper_tail_drho``,
+``bvn_boundary_value`` and ``tetrachoric_invert_batch`` take them, and the
+scalar ``bvn_upper_tail`` and ``tetrachoric_invert`` are 1-element calls to
+the first and the last.  The inversion has one edge, ``1 - RHO_CLAMP``; a
+root beyond it is returned clamped there.  Pairs that need the same number
+of panels are stacked into dense arrays of at most ``_NODE_BUDGET`` (2**16)
+quadrature nodes, so the quadrature's temporaries stay at 512 KB however
+many panels a tail pair needs.  The inversion works through its pairs in
+chunks of ``_CHUNK_PAIRS`` (16384), which run on up to ``threads`` worker
+processes.  Each pair is computed from its own values only and summed along
+its own contiguous row, so its result is bitwise the same alone, in any
+batch, in any order, on either side of a chunk or node-budget boundary and
+at any worker count.  An inversion computes each pair's three Phi values,
+Phi(-lo), Phi(-hi) and Phi(lo) with lo = min(c1, c2) and hi = max(c1, c2),
+once, and passes them to every evaluation of ``ell``.
 """
 
 from __future__ import annotations
@@ -311,8 +311,8 @@ def _p1evl(x, coefs, out):
     return out
 
 
-def bvn_boundary_value(c1: float, c2: float, sign: int) -> float:
-    """Limit of ell(c1, c2; rho) as rho approaches +1 or -1.
+def bvn_boundary_value(c1, c2, sign):
+    """Limit of ell(c1, c2; rho) as rho approaches +1 or -1 (``sign``).
 
     At perfect positive correlation the pair degenerates to a single
     variable, giving min{Phi(-c1), Phi(-c2)}; at perfect negative
@@ -323,15 +323,16 @@ def bvn_boundary_value(c1: float, c2: float, sign: int) -> float:
     argument order is fixed, so the value is bitwise symmetric in
     (c1, c2).  The +1 value is then accurate to relative precision; the
     -1 value is a difference and is accurate to the rounding of its
-    larger term.
+    larger term.  Arrays of (c1, c2, sign) broadcast; scalars give a float.
     """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    lo, hi, _, _ = _flat_pairs(c1, c2, 0.0)
+    bad = ~np.isin(sign, (1, -1))
+    if bad.any():
+        raise ValueError(f"sign must be +1 or -1, got {np.asarray(sign)[bad][0].item()!r}")
+    lo, hi, sign, shape = _flat_pairs(c1, c2, sign)
     _, up_hi, _, diff = _pair_terms(lo, hi)
-    if sign == 1:
-        return up_hi.item()
-    return max(0.0, diff.item())
+    # The -1 value is clipped as max(0.0, diff) clips: diff only above +0.0.
+    out = np.where(sign == 1.0, up_hi, np.where(diff > 0.0, diff, 0.0)).reshape(shape)
+    return out if shape else out.item()
 
 
 def bvn_upper_tail(c1: float, c2: float, rho: float) -> float:
@@ -346,25 +347,21 @@ def bvn_upper_tail(c1: float, c2: float, rho: float) -> float:
 
 def bvn_upper_tail_batch(c1, c2, rho) -> np.ndarray:
     """``bvn_upper_tail`` for broadcastable arrays of (c1, c2, rho)."""
-    lo, hi, rho, shape = _flat_pairs(c1, c2, rho)
-    bad = ~(np.abs(rho) < 1.0)
-    if bad.any():
-        raise ValueError(f"rho must satisfy |rho| < 1, got {float(rho[bad][0])!r}")
+    lo, hi, rho, shape = _flat_correlations(c1, c2, rho)
     _, _, anchor, diff = _pair_terms(lo, hi)
     return _ell(lo, hi, rho, anchor, diff).reshape(shape)
 
 
-def bvn_upper_tail_drho(c1: float, c2: float, rho: float) -> float:
+def bvn_upper_tail_drho(c1, c2, rho):
     """Derivative of the upper tail probability in the correlation.
 
     Closed form: pdf((c1 - rho*c2)/sqrt(1-rho^2)) * pdf(c2) / sqrt(1-rho^2).
     Strictly positive on |rho| < 1; bitwise the derivative the root
-    finder uses.
+    finder uses.  Arrays of (c1, c2, rho) broadcast; scalars give a float.
     """
-    lo, hi, rho, _ = _flat_pairs(c1, c2, rho)
-    if not abs(rho[0]) < 1.0:
-        raise ValueError(f"rho must satisfy |rho| < 1, got {float(rho[0])!r}")
-    return _drho(lo, hi, rho).item()
+    lo, hi, rho, shape = _flat_correlations(c1, c2, rho)
+    out = _drho(lo, hi, rho).reshape(shape)
+    return out if shape else out.item()
 
 
 @dataclass(frozen=True)
@@ -453,6 +450,15 @@ def _flat_pairs(c1, c2, values):
         pair = (float(c1[bad][0]), float(c2[bad][0]))
         raise ValueError(f"thresholds must be finite, got {pair!r}")
     return np.minimum(c1, c2).ravel(), np.maximum(c1, c2).ravel(), values.ravel(), values.shape
+
+
+def _flat_correlations(c1, c2, rho):
+    """``_flat_pairs`` for a batch of correlations, each checked for |rho| < 1."""
+    lo, hi, rho, shape = _flat_pairs(c1, c2, rho)
+    bad = ~(np.abs(rho) < 1.0)
+    if bad.any():
+        raise ValueError(f"rho must satisfy |rho| < 1, got {float(rho[bad][0])!r}")
+    return lo, hi, rho, shape
 
 
 def _pair_terms(lo, hi):

@@ -21,13 +21,12 @@ import numpy as np
 from .moments import BinaryMatrix
 from .parallel import map_slices
 from .scores import LatentScores
-from .simulate import MetricsRecord
+from .simulate import TIMING_COLUMNS, MetricsRecord
 from .spectral import FactorModel
 
 MODEL_FORMAT_VERSION = 1
 
 METRICS_COLUMNS = ["scenario", "rep", "max_err", "subspace_d", "med_err", "tau_err", "error"]
-TIMING_COLUMNS = ["t_generate", "t_tetrachoric", "t_spectral", "t_scores"]
 
 # Score rows rendered per chunk of ``write_scores``, the unit of its workers.
 _SCORE_CHUNK_ROWS = 16384

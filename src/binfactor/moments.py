@@ -16,8 +16,9 @@ import numpy as np
 from .gaussian import std_normal_quantile, tetrachoric_invert_batch
 
 # Rows per block of the joint counts: a float32 sum of at most 2**24 0/1
-# products is an exact integer.
-_BLOCK_ROWS = 2**24
+# products is an exact integer, so any block up to that gives the same bits;
+# 2**16 rows bound the block's float32 copy at 256 MB for p = 1000.
+_BLOCK_ROWS = 2**16
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,10 @@
 
 Each check compares the kernel against an independent fact: a closed form,
 a symmetry, a finite difference, or a round trip.  A check evaluates its
-whole grid in one call to ``bvn_upper_tail_batch`` or
-``tetrachoric_invert_batch`` and reports the largest error; only
-``bvn_upper_tail_drho`` and ``bvn_boundary_value``, which take scalars
-alone, are called point by point.  The battery backs the ``selfcheck`` CLI
-command and can be rerun programmatically; a perfect build passes all
-checks with generous margin.
+whole grid in one call to each kernel function it compares and reports
+the largest error.  The battery backs the ``selfcheck`` CLI command and
+can be rerun programmatically; a perfect build passes all checks with
+generous margin.
 """
 
 from __future__ import annotations
@@ -82,7 +80,7 @@ def _check_derivative_fd() -> float:
     # so agreement is only checkable where the derivative clears ~1e-5.
     step = 1e-5
     c1, c2, rho = _grid((-1.5, -0.5, 0.0, 1.0), (-1.0, 0.0, 0.5, 1.5), (-0.9, -0.5, 0.0, 0.4, 0.8))
-    exact = np.array([bvn_upper_tail_drho(*args) for args in zip(c1, c2, rho)])
+    exact = bvn_upper_tail_drho(c1, c2, rho)
     fd = (
         bvn_upper_tail_batch(c1, c2, rho + step) - bvn_upper_tail_batch(c1, c2, rho - step)
     ) / (2.0 * step)
@@ -103,7 +101,7 @@ def _check_boundary_consistency() -> float:
     # Coincident thresholds approach their limit at rate sqrt(1 - rho^2),
     # so the probe sits at +-(1 - 1e-12) where every case has converged.
     c1, c2, sign = _grid((-1.2, -0.3, 0.0, 0.8), (-0.9, 0.0, 0.5, 1.4), (1, -1))
-    limit = [bvn_boundary_value(*args) for args in zip(c1, c2, sign)]
+    limit = bvn_boundary_value(c1, c2, sign)
     return _worst(bvn_upper_tail_batch(c1, c2, sign * (1.0 - 1e-12)) - limit)
 
 

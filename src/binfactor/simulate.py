@@ -197,20 +197,24 @@ def run_replications(
     return map_slices(one, scn.reps, 1, threads)
 
 
+# The stages ``_run_one`` times, in order: the keys of ``MetricsRecord.timings``.
+TIMING_COLUMNS = ["t_generate", "t_tetrachoric", "t_spectral", "t_scores"]
+
+
 def _run_one(
     scn: SimScenario, tm: TrueModel, r: int, score_config: ScoreConfig
 ) -> MetricsRecord:
     rng = np.random.default_rng([scn.seed, 1, r])
-    t0 = time.perf_counter()
+    stamps = [time.perf_counter()]
     y, z_true, _ = generate_dataset(tm, scn.n, rng)
-    t1 = time.perf_counter()
+    stamps.append(time.perf_counter())
     ms, tetra = estimate_tetrachoric(y)
-    t2 = time.perf_counter()
+    stamps.append(time.perf_counter())
     model = fit_from_tetrachoric(ms, tetra, scn.d, meta={"n": scn.n})
     basis = leading_subspace(sym_eigen(tetra.sigma), scn.d)
-    t3 = time.perf_counter()
+    stamps.append(time.perf_counter())
     scores = estimate_scores(y, model, score_config)
-    t4 = time.perf_counter()
+    stamps.append(time.perf_counter())
     return MetricsRecord(
         scenario=scn.label,
         rep=r,
@@ -218,10 +222,5 @@ def _run_one(
         subspace_d=metric_subspace(tm.b, basis),
         med_err=metric_med_err(model, scores, tm, z_true),
         tau_err=float(np.mean(np.abs(model.tau2_hat - tm.tau2))),
-        timings={
-            "t_generate": t1 - t0,
-            "t_tetrachoric": t2 - t1,
-            "t_spectral": t3 - t2,
-            "t_scores": t4 - t3,
-        },
+        timings=dict(zip(TIMING_COLUMNS, np.diff(stamps).tolist())),
     )

@@ -76,13 +76,8 @@ def sign_normalize(basis: np.ndarray) -> np.ndarray:
     unchanged and the operation is idempotent.
     """
     basis = np.asarray(basis, dtype=float)
-    out = basis.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        lead = col[np.argmax(np.abs(col))]
-        if lead < 0.0:
-            out[:, k] = -col
-    return out
+    lead = basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]
+    return np.where(lead < 0.0, -basis, basis)
 
 
 def leading_subspace(e: EigenDecomposition, d: int) -> np.ndarray:

@@ -158,24 +158,29 @@ class TestScore:
 class TestThreads:
     """``fit`` and ``score`` write the same bytes at any ``--threads``."""
 
-    def test_fit_and_score_byte_identical(self, tmp_path, data_csv, monkeypatch):
+    def test_fit_and_score_byte_identical(self, tmp_path, data_csv, sparse_data, monkeypatch):
         from binfactor import gaussian, model_io, scores
 
-        # p = 10 has 45 pairs and the data 100 rows: small units make
-        # several of each, so two workers really split the work.  A budget
-        # of 18 cells makes blocks of 2 rows of the 9 included columns.
-        monkeypatch.setattr(gaussian, "_CHUNK_PAIRS", 8)
-        monkeypatch.setattr(scores, "_CELL_BUDGET", 18)
-        monkeypatch.setattr(model_io, "_SCORE_CHUNK_ROWS", 16)
-        outputs = []
-        for threads in ("1", "2"):
-            model, table = tmp_path / f"m{threads}.json", tmp_path / f"s{threads}.csv"
-            assert main(["fit", "--data", str(data_csv), "--d", "2", "--out", str(model),
-                         "--threads", threads]) == 0
-            assert main(["score", "--data", str(data_csv), "--model", str(model),
-                         "--out", str(table), "--threads", threads]) == 0
-            outputs.append((model.read_bytes(), table.read_bytes()))
-        assert outputs[0] == outputs[1]
+        # Small units make several of each, so two workers really split the
+        # work.  Dense: p = 10 has 45 pairs in chunks of 8, and a budget of
+        # 18 cells makes blocks of 2 rows of the 9 included columns.
+        # Sparse, 2.6% ones: 4,950 pairs (2,346 never co-occur) in chunks of
+        # 512, and 2,048 cells make blocks of 22 rows of the 90 included.
+        sparse_csv = tmp_path / "sparse.csv"
+        np.savetxt(sparse_csv, sparse_data(1.5, 2.5, 100, 2000).data, fmt="%d", delimiter=",")
+        for data, units in ((data_csv, (8, 18, 16)), (sparse_csv, (512, 2048, 256))):
+            monkeypatch.setattr(gaussian, "_CHUNK_PAIRS", units[0])
+            monkeypatch.setattr(scores, "_CELL_BUDGET", units[1])
+            monkeypatch.setattr(model_io, "_SCORE_CHUNK_ROWS", units[2])
+            outputs = []
+            for threads in ("1", "2"):
+                model, table = tmp_path / f"m{threads}.json", tmp_path / f"s{threads}.csv"
+                assert main(["fit", "--data", str(data), "--d", "2", "--out", str(model),
+                             "--threads", threads]) == 0
+                assert main(["score", "--data", str(data), "--model", str(model),
+                             "--out", str(table), "--threads", threads]) == 0
+                outputs.append((model.read_bytes(), table.read_bytes()))
+            assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("command", [
         ["fit", "--d", "2"], ["score", "--model", "missing.json"],

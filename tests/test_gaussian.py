@@ -143,8 +143,8 @@ class TestErfcx:
                 return total / (t * mp.sqrt(mp.pi))
 
             def worst(t):
-                errors = ((mp.mpf(g) - exact(v)) / exact(v) for g, v in zip(erfcx(t), t))
-                return max(abs(float(e)) for e in errors)
+                exacts = map(exact, t)
+                return max(abs(float(mp.mpf(g) / e - 1)) for g, e in zip(erfcx(t), exacts))
 
             rng = np.random.default_rng(11)
             t_high = np.concatenate((
@@ -162,8 +162,12 @@ class TestErfcx:
                 rng.uniform(0.8, 1.1, 4000),
                 [5e-324, 1e-8, 0.91, np.nextafter(0.91, 0.0), np.nextafter(0.91, 1.0)],
             ))
+            # Dense where P / Q takes every value: its rounding reaches 1.14e-15
+            # near t = 7.84, between the points of the sample above.
+            t_mid = np.concatenate((np.linspace(1.0, 8.0, 20000, endpoint=False), [7.84]))
             assert worst(t_low) <= 1.5e-15
             assert worst(t_high) <= 1e-15
+            assert worst(t_mid) <= 1.5e-15
 
     def test_below_zero_is_nan(self):
         got = erfcx(np.array([-1e-300, -0.5, -10.0, -np.inf, 0.0, -0.0]))
@@ -396,6 +400,96 @@ class TestBvnBoundaryValue:
         for sign in (1, -1):
             with pytest.raises(ValueError, match="finite"):
                 bvn_boundary_value(c1, c2, sign)
+
+
+def drho_one_point(c1, c2, rho):
+    """``bvn_upper_tail_drho`` as it was when it took scalars only."""
+    lo, hi, rho, _ = gaussian._flat_pairs(c1, c2, rho)
+    if not abs(rho[0]) < 1.0:
+        raise ValueError(f"rho must satisfy |rho| < 1, got {float(rho[0])!r}")
+    return _drho(lo, hi, rho).item()
+
+
+def boundary_one_point(c1, c2, sign):
+    """``bvn_boundary_value`` as it was when it took scalars only."""
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    lo, hi, _, _ = gaussian._flat_pairs(c1, c2, 0.0)
+    _, up_hi, _, diff = gaussian._pair_terms(lo, hi)
+    return up_hi.item() if sign == 1 else max(0.0, diff.item())
+
+
+class TestBroadcastPrimitives:
+    """``bvn_upper_tail_drho`` and ``bvn_boundary_value`` on arrays are their
+    scalar calls, and those are the one-point functions they replaced."""
+
+    # Both signs of each threshold, out to where Phi(-c) underflows, so the
+    # -1 limit meets its zero, tiny and near-one differences.
+    C = np.array([-40.0, -8.0, -3.0, -1.0, -0.2, 0.0, 0.3, 1.0, 3.0, 8.0, 38.0])
+    RHO = np.array([-0.999999, -0.9, -0.3, 0.0, 0.5, 0.99])
+
+    @staticmethod
+    def bits(values):
+        return [float(v).hex() for v in np.ravel(values)]
+
+    def test_arrays_are_the_scalar_calls(self):
+        c1, c2 = self.C[:, None, None], self.C[None, :, None]
+        grid = np.broadcast_arrays(c1, c2, self.RHO[None, None, :])
+        drho = bvn_upper_tail_drho(c1, c2, self.RHO)
+        assert drho.shape == grid[0].shape
+        points = zip(*map(np.ravel, grid))
+        alone = [bvn_upper_tail_drho(float(a), float(b), float(r)) for a, b, r in points]
+        assert self.bits(drho) == self.bits(alone)
+        signs = np.array([1, -1])
+        grid = np.broadcast_arrays(c1, c2, signs)
+        limits = bvn_boundary_value(c1, c2, signs)
+        assert limits.shape == grid[0].shape
+        points = zip(*map(np.ravel, grid))
+        alone = [bvn_boundary_value(float(a), float(b), int(s)) for a, b, s in points]
+        assert self.bits(limits) == self.bits(alone)
+
+    def test_scalars_are_the_one_point_floats(self):
+        for c1 in self.C:
+            for c2 in self.C:
+                for rho in self.RHO:
+                    got = bvn_upper_tail_drho(float(c1), float(c2), float(rho))
+                    assert type(got) is float
+                    assert got.hex() == drho_one_point(c1, c2, rho).hex()
+                for sign in (1, -1):
+                    got = bvn_boundary_value(float(c1), float(c2), sign)
+                    assert type(got) is float
+                    assert got.hex() == boundary_one_point(c1, c2, sign).hex()
+
+    @pytest.mark.parametrize("args, message", [
+        ((0.0, 0.0, 1.0), "rho must satisfy |rho| < 1, got 1.0"),
+        ((0.5, 0.0, -1), "rho must satisfy |rho| < 1, got -1.0"),
+        ((0.0, 0.0, math.nan), "rho must satisfy |rho| < 1, got nan"),
+        ((math.inf, 0.0, 0.3), "thresholds must be finite, got (inf, 0.0)"),
+    ])
+    def test_bad_rho_raises_the_one_point_error(self, args, message):
+        for f in (bvn_upper_tail_drho, drho_one_point):
+            with pytest.raises(ValueError) as err:
+                f(*args)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("args, message", [
+        ((0.0, 0.0, 0), "sign must be +1 or -1, got 0"),
+        ((0.0, 0.0, 2), "sign must be +1 or -1, got 2"),
+        ((0.0, 0.0, 0.5), "sign must be +1 or -1, got 0.5"),
+        ((0.0, 0.0, math.nan), "sign must be +1 or -1, got nan"),
+        ((0.0, math.nan, 1), "thresholds must be finite, got (0.0, nan)"),
+    ])
+    def test_bad_sign_raises_the_one_point_error(self, args, message):
+        for f in (bvn_boundary_value, boundary_one_point):
+            with pytest.raises(ValueError) as err:
+                f(*args)
+            assert str(err.value) == message
+
+    def test_an_array_names_its_first_bad_value(self):
+        with pytest.raises(ValueError, match=r"got 1\.5$"):
+            bvn_upper_tail_drho(0.0, [0.1, 0.2, 0.3], [0.5, 1.5, -2.0])
+        with pytest.raises(ValueError, match="got 0$"):
+            bvn_boundary_value([0.1, 0.2], 0.0, [[1, -1], [0, 3]])
 
 
 class TestTetrachoricInvert:

@@ -101,7 +101,7 @@ class TestPairwiseJointFrequency:
                 both = y.data[:, j1] & y.data[:, j2]
                 assert joint[j1, j2] == pytest.approx(both.mean(dtype=np.float64))
 
-    @pytest.mark.parametrize("block_rows", [2**24, 64, 7])
+    @pytest.mark.parametrize("block_rows", [2**24, 2**16, 64, 7])
     def test_bitwise_the_float64_product(self, monkeypatch, block_rows):
         # 7 and 64 rows put block boundaries inside the 300 rows, with a
         # short last block for 7.
@@ -113,7 +113,7 @@ class TestPairwiseJointFrequency:
 
 
 class TestEstimateTetrachoric:
-    @pytest.mark.parametrize("block_rows", [2**24, 64, 7])
+    @pytest.mark.parametrize("block_rows", [2**24, 2**16, 64, 7])
     def test_marginals_bitwise_the_column_means(self, monkeypatch, block_rows):
         # The marginals come from the diagonal of the joint counts, one
         # pass over Y; they are the same counts over n as the column means.

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binfactor.gaussian import std_normal_cdf
+from binfactor.gaussian import RHO_CLAMP, std_normal_cdf
 from binfactor import scores as scores_module
-from binfactor.moments import BinaryMatrix
+from binfactor.moments import BinaryMatrix, estimate_tetrachoric
 from binfactor.scores import (
     _certify,
     _evaluate,
@@ -22,7 +22,7 @@ from binfactor.scores import (
     reconstruct,
     select_tau_threshold,
 )
-from binfactor.spectral import TAU2_FLOOR, FactorModel
+from binfactor.spectral import TAU2_FLOOR, FactorModel, fit_from_tetrachoric
 
 
 def make_model(p, d, seed, tau2=None, c=None):
@@ -632,6 +632,41 @@ class TestEstimateScores:
         np.testing.assert_array_equal(a.z_hat, b.z_hat)
         np.testing.assert_array_equal(a.iterations, b.iterations)
         np.testing.assert_array_equal(a.grad_norms, b.grad_norms)
+
+
+class TestSparseColumns:
+    """Rare columns: many pairs never co-occur, and Sigma-hat floors some
+    noise variances, which scoring must leave out."""
+
+    @pytest.fixture(scope="class", params=[(1.5, 2.5, 100, 2000), (2.0, 3.0, 150, 3000)],
+                    ids=["c~U(1.5,2.5)", "c~U(2,3)"])
+    def fitted(self, request, sparse_data):
+        y = sparse_data(*request.param)
+        assert 0.007 <= y.data.mean() <= 0.03
+        ms, tetra = estimate_tetrachoric(y)
+        return y, tetra, fit_from_tetrachoric(ms, tetra, 2)
+
+    def test_zero_joint_counts_clamped_at_minus_one(self, fitted):
+        y, tetra, _ = fitted
+        counts = y.data.T.astype(np.int64) @ y.data.astype(np.int64)
+        j1, j2 = np.triu_indices(y.p, 1)
+        zero = counts[j1, j2] == 0
+        assert zero.sum() > 1000
+        assert set(zip(j1[zero].tolist(), j2[zero].tolist())) <= tetra.clamp_flags
+        assert np.all(tetra.sigma[j1[zero], j2[zero]] == -(1.0 - RHO_CLAMP))
+
+    def test_floored_noise_left_out(self, fitted):
+        _, _, model = fitted
+        floored = model.tau2_hat <= TAU2_FLOOR
+        assert floored.any()
+        incl = _inclusion(model, select_tau_threshold(model.tau2_hat, ScoreConfig().m_percent))
+        assert not (incl.mask & floored).any()
+
+    def test_every_row_converges_in_few_steps(self, fitted):
+        y, _, model = fitted
+        scores = estimate_scores(y, model)
+        assert scores.converged.all()
+        assert scores.iterations.max() < 30
 
 
 class TestCertifiedStep:

@@ -91,6 +91,21 @@ class TestSignNormalize:
         out = sign_normalize(np.array([[-0.5], [0.5]]))
         np.testing.assert_array_equal(out, [[0.5], [-0.5]])
 
+    def test_is_the_column_loop(self):
+        # The loop that one np.where replaced, on columns with ties in
+        # magnitude, zeros and signed zeros.
+        rng = np.random.default_rng(8)
+        basis = rng.choice([-0.5, -0.25, -0.0, 0.0, 0.25, 0.5], size=(6, 40))
+        basis[:, :10] = rng.standard_normal((6, 10))
+        expected = basis.copy()
+        for k in range(basis.shape[1]):
+            col = basis[:, k]
+            if col[np.argmax(np.abs(col))] < 0.0:
+                expected[:, k] = -col
+        out = sign_normalize(basis)
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(np.signbit(out), np.signbit(expected))
+
 
 class TestLeadingSubspace:
     def test_full_dimension_gives_identity_projection(self):
