@@ -43,6 +43,7 @@ from .scores import (
     LatentScores,
     ScoreConfig,
     estimate_scores,
+    inclusion_mask,
     reconstruct,
     select_tau_threshold,
 )

@@ -14,10 +14,10 @@ import sys
 
 from . import model_io
 from .parallel import usable_cpus
-from .scores import ScoreConfig, estimate_scores
+from .scores import ScoreConfig, estimate_scores, inclusion_mask
 from .selfcheck import format_report, run_selfcheck
 from .simulate import SimScenario, run_replications
-from .spectral import fit_model
+from .spectral import TAU2_FLOOR, fit_model
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -158,7 +158,17 @@ def _cmd_score(args) -> int:
     scores = estimate_scores(y, model, cfg, threads=args.threads)
     model_io.write_scores(scores, args.out, threads=args.threads)
     n_conv = int(scores.converged.sum())
+    k = int(inclusion_mask(model, cfg.m_percent).sum())
     print(f"scored {scores.n} samples (d={model.d}); converged: {n_conv}/{scores.n}")
+    print(f"components in the likelihood: {k} of {model.p}")
+    if k == 0:
+        floored = int((model.tau2_hat <= TAU2_FLOOR).sum())
+        print(
+            f"warning: no component enters the likelihood, so every score is 0: "
+            f"floored noise variances: {floored} of {model.p} (at or below "
+            f"{TAU2_FLOOR:g}), and a floored component is left out at any --m",
+            file=sys.stderr,
+        )
     print(f"scores written to {args.out}")
     return EXIT_OK
 

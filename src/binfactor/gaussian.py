@@ -2,9 +2,11 @@
 
 The standard-normal functions need numpy and the standard library only.
 ``std_normal_tail`` and ``std_normal_cdf`` port the Cephes rationals that
-``scipy.special.ndtr`` evaluates, branch-free; ``erfcx`` takes them to the
-scaled tail on [0, inf), in place for the scoring kernel's buffers;
-``std_normal_quantile`` is ``statistics.NormalDist.inv_cdf`` (Wichura's AS 241).
+``scipy.special.ndtr`` evaluates, branch-free.  ``erfcx``, the scaled tail
+on [0, inf), is one fitted degree-(8, 8) rational below 3.5, where the
+scoring kernel's cells mostly fall, and those Cephes rationals beyond; it
+runs in place in the kernel's buffers.  ``std_normal_quantile`` is
+``statistics.NormalDist.inv_cdf`` (Wichura's AS 241).
 
 The central object is the upper tail probability of a standard bivariate
 normal pair with correlation ``rho``,
@@ -100,13 +102,25 @@ _ERFC_S = (
 )
 # Cephes' MAXLOG, log(DBL_MAX): erfc(s) counts as 0 once s^2 exceeds it.
 _MAXLOG = 7.09782712893383996843e2
+# erfcx(t) below this t is the one rational _ERFCX_P(t) / _ERFCX_Q(t),
+# degree (8, 8) with Q monic, fitted by ``tests/data/make_erfcx_rational.py``
+# to 3.7e-18 relative; in float64 it errs by at most 8e-16.  Above it the
+# rationals of ``std_normal_tail`` take over.
+_ERFCX_RATIONAL_END = 3.5
+_ERFCX_P = (
+    1.2367767053262477e-07, 0.5641842112057761, 9.595965415099466,
+    76.011109182687, 361.9662416134334, 1119.8152018571134,
+    2268.7260147193692, 2829.9518248602258, 1783.1891912549972,
+)
+_ERFCX_Q = (
+    17.00820449735213, 135.22894691630083, 650.0448943420315,
+    2051.9000753633723, 4332.13759558725, 5949.222500570865,
+    4842.065359262258, 1783.1891912549972,
+)
 # erfcx(t) past this t is its asymptotic series (1 / (t sqrt pi)) times
 # 1 - u + 3u^2 - 15u^3 + 105u^4 - 945u^5, u = 1 / (2 t^2), whose next term is
 # below 1e-16 here; the R / S rational drifts to 2.7e-15 relative by t = 1e6.
 _ERFCX_SERIES_START = 50.0
-# erfcx(t) is (1 - erf t) exp(t^2) below this t, whose error nears 1.9e-15 at
-# t = 1, and P / Q from it on, whose error is 1.7e-15 at 0.9: both <= 1.5e-15.
-_ERFCX_ERF_END = 0.91
 _ERFCX_SERIES = (-945.0, 105.0, -15.0, 3.0, -1.0, 1.0)
 _SQRT_HALF = math.sqrt(0.5)
 _SQRT_PI = math.sqrt(math.pi)
@@ -246,40 +260,40 @@ def std_normal_quantile(p):
 def erfcx(t, out=None, work=None):
     """The scaled complementary error function exp(t^2) erfc(t), for t >= 0.
 
-    ``std_normal_tail``'s rationals without its exp(-t^2) factor: (1 - erf t)
-    exp(t^2) below t = 0.91, P / Q up to 8 and R / S up to 50; from 50 on,
-    where R / S loses relative accuracy, the asymptotic series (1 / (t sqrt
-    pi)) (1 - 1/(2t^2) + 3/(4t^4) - ...) to six terms.  As there, every value
-    takes the first two and ``_blend`` keeps one, and the values from 8 on
-    are taken by index, so a value depends on its own t only.  Within
-    1.5e-15 relative of mpmath on [0, 1e300]; negative t gives nan.  The
-    result goes to ``out`` and the temporaries to ``work`` (3 x the shape of
+    Below t = 3.5 one rational, ``_ERFCX_P(t) / _ERFCX_Q(t)`` (see
+    ``tests/data/make_erfcx_rational.py``), within 8e-16 relative of
+    mpmath.  The values from 3.5 on are few and are taken by index through
+    ``std_normal_tail``'s rationals without their exp(-t^2) factor: P / Q up
+    to 8 and R / S up to 50; from 50 on, where R / S loses relative
+    accuracy, the asymptotic series (1 / (t sqrt pi)) (1 - 1/(2t^2) +
+    3/(4t^4) - ...) to six terms.  A value depends on its own t only.
+    Within 1.5e-15 relative of mpmath on [0, 1e300]; negative t gives nan.
+    The result goes to ``out`` and the denominator to ``work`` (the shape of
     t), allocated when not given; neither may overlap t.
     """
     t = np.asarray(t, dtype=float)
     out = np.empty(t.shape) if out is None else out
-    work = np.empty((3,) + t.shape) if work is None else work
-    t2, small, den = (work[k, ...] for k in range(3))  # arrays even when t is 0-d
+    den = np.empty(t.shape) if work is None else work
     with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(t, t, out=t2)
-        # t < 0.91: (1 - t T(t^2) / U(t^2)) exp(t^2)
-        _polevl(t2, _ERF_T, small)
-        small *= t
-        small /= _p1evl(t2, _ERF_U, den)
-        np.subtract(1.0, small, out=small)
-        small *= np.exp(t2, out=t2)
-        _polevl(t, _ERFC_P, out)
-        out /= _p1evl(t, _ERFC_Q, den)
-        far = np.flatnonzero(t >= 8.0)  # few values, taken by index
+        _polevl(t, _ERFCX_P, out)
+        out /= _p1evl(t, _ERFCX_Q, den)
+        far = np.flatnonzero(t >= _ERFCX_RATIONAL_END)  # few values, taken by index
         if far.size:
-            t_far = np.take(t, far)
-            rs = _polevl(t_far, _ERFC_R, np.empty(far.size))
-            rs /= _p1evl(t_far, _ERFC_S, np.empty(far.size))
-            total = _polevl(0.5 / (t_far * t_far), _ERFCX_SERIES, np.empty(far.size))
-            np.put(out, far, np.where(t_far < _ERFCX_SERIES_START, rs, total / (t_far * _SQRT_PI)))
-        _blend(out, small, np.less(t, _ERFCX_ERF_END, out=den.view(np.uint64)))
+            np.put(out, far, _erfcx_far(np.take(t, far)))
         np.put(out, np.flatnonzero(t < 0.0), np.nan)
     return out if out.ndim else out[()]
+
+
+def _erfcx_far(t):
+    """erfcx on a 1-D array of t >= 3.5: Cephes' P / Q below 8, R / S below
+    50 and the asymptotic series from 50 on, each value from its own t."""
+    pq = _polevl(t, _ERFC_P, np.empty(t.size))
+    pq /= _p1evl(t, _ERFC_Q, np.empty(t.size))
+    rs = _polevl(t, _ERFC_R, np.empty(t.size))
+    rs /= _p1evl(t, _ERFC_S, np.empty(t.size))
+    series = _polevl(0.5 / (t * t), _ERFCX_SERIES, np.empty(t.size))
+    series /= t * _SQRT_PI
+    return np.where(t < 8.0, pq, np.where(t < _ERFCX_SERIES_START, rs, series))
 
 
 def _blend(out, value, pick):

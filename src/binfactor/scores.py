@@ -64,12 +64,17 @@ _SHARD_ROWS = 8192
 # cell's third derivative in x is at most this at any y in [0, 1].
 _PSI3_MAX = 0.2958
 # Rounding of one cell's dx, in ulps of sqrt(2 |ll cell|) + 2, on top of a
-# row sum's m (at most 3.3 against mpmath for |x| <= 40).
+# row sum's m (at most 6.7 against 50-digit mpmath for |x| <= 40, near
+# |x| = 28.5; at most 4.4 below |x| = 3.5 sqrt 2, where erfcx is one rational).
 _CELL_ULPS = 64
 # A curvature cell errs by at most _CURV_ERR while |x| <= _CERT_X_MAX (by
 # 1.24e-12 at |x| = 39.9 against mpmath); a row whose cells may pass that
 # |x| is never certified.
 _CERT_X_MAX, _CURV_ERR = 40.0, 2e-12
+# A d <= 3 curvature whose determinant is at most this fraction of the
+# product of its diagonal is solved by LAPACK: the closed form's cofactors
+# cancel there, and near rounding level can give a zero step where LU does not.
+_CLOSED_FORM_DET = 1e-8
 
 _SQRT_HALF = math.sqrt(0.5)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -129,6 +134,20 @@ def select_tau_threshold(tau2_hat: np.ndarray, m_percent: float) -> float:
     return float(kth_largest) - 1e-12
 
 
+def inclusion_mask(model: FactorModel, m_percent: float) -> np.ndarray:
+    """The components that enter the likelihood at ``m_percent``: those
+    whose noise scale passes the ``select_tau_threshold`` cut and whose
+    variance is above ``spectral.TAU2_FLOOR``.
+
+    A variance at or below the floor (floored or zero) puts loadings near
+    1e5 noise units, where the gradient's rounding passes any usable
+    tolerance, so it never enters, even if fewer than m% then take part.
+    When every variance is on the floor none enters.
+    """
+    tau = select_tau_threshold(model.tau2_hat, m_percent)
+    return (np.sqrt(model.tau2_hat) > tau) & (model.tau2_hat > TAU2_FLOOR)
+
+
 def estimate_scores(
     y: BinaryMatrix,
     model: FactorModel,
@@ -163,8 +182,7 @@ def estimate_scores(
     if model.p != y.p:
         raise ValueError(f"model has p={model.p} but data has p={y.p}")
     n, d = y.n, model.d
-    tau = select_tau_threshold(model.tau2_hat, cfg.m_percent)
-    incl = _inclusion(model, tau)
+    incl = _inclusion(model, cfg.m_percent)
 
     if z0 is None:
         z = np.zeros((n, d))
@@ -361,13 +379,9 @@ class _Inclusion:
         return self.affine[-1]
 
 
-def _inclusion(model: FactorModel, tau: float) -> _Inclusion:
-    tau_sd = np.sqrt(np.maximum(model.tau2_hat, 0.0))
-    # A variance at or below ``TAU2_FLOOR`` (floored or zero) puts loadings
-    # near 1e5 noise units, where the gradient's rounding passes any usable
-    # tolerance: it never enters, even if fewer than m% then take part.
-    mask = (tau_sd > tau) & (model.tau2_hat > TAU2_FLOOR)
-    scale = tau_sd[mask]
+def _inclusion(model: FactorModel, m_percent: float) -> _Inclusion:
+    mask = inclusion_mask(model, m_percent)
+    scale = np.sqrt(model.tau2_hat[mask])
     # C order: the einsum contractions' order follows the operands' layout.
     bt_ct = ((model.b_hat[mask] / scale[:, None]).T, model.c_hat[mask] / scale)
     affine = np.ascontiguousarray(np.vstack(bt_ct))
@@ -398,9 +412,9 @@ def _inclusion(model: FactorModel, tau: float) -> _Inclusion:
 
 
 def _workspace(rows: int, m: int):
-    """The kernel's temporaries for blocks of up to ``rows`` rows: nine float
+    """The kernel's temporaries for blocks of up to ``rows`` rows: seven float
     and one boolean (rows x m) buffers, which a shard reuses throughout."""
-    return np.empty((9, rows, m)), np.empty((rows, m), dtype=bool)
+    return np.empty((7, rows, m)), np.empty((rows, m), dtype=bool)
 
 
 def _evaluate(z, y_incl, rows, incl: _Inclusion, p: int, work=None):
@@ -460,6 +474,8 @@ def _kernel(z1, y, affine, floats, neg):
     pi) / E, log Phi(-a) = log(E / 2) - s^2 and Phi(-a) its exp, then log
     Phi(a) = log1p(-Phi(-a)) and phi(a) / Phi(a).  Nothing cancels or
     underflows on the way, so all stay accurate and finite while s^2 does.
+    Below s = 3.5, where nearly all cells fall, E is one rational and a
+    division; the cells past it take ``erfcx``'s other branches by index.
 
     The cell's observed curvature -d^2/dx^2 is m (m + a) on the large side,
     with m = phi(a) / Phi(a), and m (m - a) on the small side, with
@@ -467,55 +483,58 @@ def _kernel(z1, y, affine, floats, neg):
     exact second derivative at fractional y as well.  The probit
     likelihood is log-concave, so both lie in [0, 1] and the Newton system
     is positive semidefinite.  m (m - a) cancels as a grows: for |x| <= 40
-    it errs by at most 1.24e-12 against mpmath, about 8e-16 a^2.
+    it errs by at most 1.24e-12 against mpmath, about 8e-16 a^2, and below
+    |x| = 3.5 sqrt 2 by at most 2.1e-14.
 
     Every (rows x components) temporary is written in place, with ``out=``,
-    into the buffers ``floats`` (9 x rows x components) and ``neg``
+    into the buffers ``floats`` (7 x rows x components) and ``neg``
     (rows x components, boolean); the three results are views of them, and
-    ``erfcx`` takes three of the float buffers as its work space before
-    they hold anything else.  Each value takes the same floating-point
+    ``erfcx`` takes one of the float buffers for its denominator before it
+    holds anything else.  Each value takes the same floating-point
     operations in the same order as the plain expressions in the comments.
     The product x is one ``einsum`` that adds bt_1 z_1, ..., bt_d z_d and
     -ct in turn, not BLAS.  A cell's values depend only on its own x and y,
     so the cells that ``_evaluate`` gathers from the origin table are those
     this would compute there.
     """
-    x, tail, log_small, mills_small, log_large, mills_large, w, w_small, sign = floats
-    np.einsum("ik,kj->ij", z1, affine, out=x)  # bt . z - ct, in that order
-    np.less(x, 0.0, out=neg)
-    a = np.abs(x, out=x)
+    a, tail, log_small, mills_small, log_large, w, w_small = floats
+    np.einsum("ik,kj->ij", z1, affine, out=a)  # x = bt . z - ct, in that order
+    np.less(a, 0.0, out=neg)
+    np.abs(a, out=a)
+    # Weight of the large side, Phi(a), in the cell's likelihood: y where
+    # x >= 0, 1 - y where x < 0.  w = |y - neg| stays a float weight, so
+    # a fractional y weighs both sides.  (Mixed-type ufuncs with a bool
+    # operand take several times as long, so neg is copied to floats.)
+    np.copyto(tail, neg)
+    np.copyto(w, y)
+    np.abs(np.subtract(w, tail, out=w), out=w)
+    np.subtract(1.0, w, out=w_small)
+
     s = np.multiply(a, _SQRT_HALF, out=tail)
-    ex = erfcx(s, out=mills_small, work=floats[4:7])  # E = 2 Phi(-a) exp(s^2)
+    ex = erfcx(s, out=mills_small, work=log_large)  # E = 2 Phi(-a) exp(s^2)
     np.log(np.multiply(ex, 0.5, out=log_small), out=log_small)
     log_small -= np.multiply(s, s, out=s)  # log Phi(-a) = log(E / 2) - s^2
     np.exp(log_small, out=tail)  # Phi(-a)
     np.divide(_SQRT_2_OVER_PI, ex, out=mills_small)  # phi(a) / Phi(-a)
     np.log1p(np.negative(tail, out=log_large), out=log_large)  # log Phi(a)
-    np.multiply(mills_small, tail, out=mills_large)
-    mills_large /= np.subtract(1.0, tail, out=tail)  # phi(a) / Phi(a)
-
-    # Weight of the large side, Phi(a), in the cell's likelihood: y where
-    # x >= 0, 1 - y where x < 0.  w = |y - neg| stays a float weight, so
-    # a fractional y weighs both sides.  (Mixed-type ufuncs with a bool
-    # operand take several times as long, so neg is copied to floats once.)
-    np.copyto(sign, neg)
-    np.copyto(w, y)
-    np.abs(np.subtract(w, sign, out=w), out=w)
-    np.subtract(1.0, w, out=w_small)
     # ll = w log Phi(a) + (1 - w) log Phi(-a)
     log_large *= w
     log_large += np.multiply(w_small, log_small, out=log_small)
+    mills_large = np.multiply(mills_small, tail, out=log_small)
+    mills_large /= np.subtract(1.0, tail, out=tail)  # phi(a) / Phi(a)
+
     w *= mills_large  # w m_L
     w_small *= mills_small  # (1 - w) m_S
-    # dx = (w m_L - (1 - w) m_S) (1 - 2 neg): d|x|/dx = -1 where x < 0
-    dx = np.subtract(w, w_small, out=tail)
-    dx *= np.subtract(1.0, np.multiply(2.0, sign, out=sign), out=sign)
+    dx = np.subtract(w, w_small, out=tail)  # w m_L - (1 - w) m_S
     # info = w m_L (m_L + a) + (1 - w) m_S (m_S - a)
     mills_large += a
     mills_large *= w
     mills_small -= a
     mills_small *= w_small
     info = np.add(mills_large, mills_small, out=mills_large)
+    # dx (1 - 2 neg): d|x|/dx = -1 where x < 0
+    np.copyto(w, neg)
+    dx *= np.subtract(1.0, np.multiply(2.0, w, out=w), out=w)
     return log_large, dx, info
 
 
@@ -533,13 +552,34 @@ def _row_sums(ll_cells, dx, info, incl: _Inclusion, ll, g, packed):
 
 
 def _solve_steps(curv: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The Newton steps curv^-1 g for a stack of curvature matrices.
+
+    For d <= 3 a row is solved in closed form, adj(H) g / det(H), on its
+    exactly symmetric curvature, unless det(H) is at most
+    ``_CLOSED_FORM_DET`` times the product of H's diagonal (Hadamard's bound
+    on det H), where the cofactors cancel.  Those rows, and every row for
+    d >= 4, take one batched LAPACK solve (``_solve_lapack``).
+    """
+    if g.shape[1] > 3:
+        return _solve_lapack(curv, g)
+    adj_g, det = _adjugate_product(curv, g)
+    hadamard = np.prod(np.diagonal(curv, axis1=1, axis2=2), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = adj_g / det[:, None]
+    rows = np.flatnonzero(~(det > _CLOSED_FORM_DET * hadamard))
+    if rows.size:
+        step[rows] = _solve_lapack(curv[rows], g[rows])
+    return step
+
+
+def _solve_lapack(curv: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``_solve_steps`` by batched LAPACK solves.  A matrix whose LU
+    factorization meets a zero pivot, so that its determinant is exactly 0,
+    is ridged by 1e-8 trace / d; one with zero trace gets a zero step."""
     try:
         return np.linalg.solve(curv, g[..., None])[..., 0]
     except np.linalg.LinAlgError:
         pass
-    # Some matrices are singular.  Their LU factorization, the one solve
-    # uses, meets a zero pivot, so their determinant is exactly 0: ridge
-    # those, and give a zero step to those with zero curvature.
     d = g.shape[1]
     trace = np.trace(curv, axis1=1, axis2=2)
     singular = np.linalg.det(curv) == 0.0
@@ -550,3 +590,25 @@ def _solve_steps(curv: np.ndarray, g: np.ndarray) -> np.ndarray:
     step = np.linalg.solve(regularized, g[..., None])[..., 0]
     step[empty] = 0.0
     return step
+
+
+def _adjugate_product(h, g):
+    """adj(h) g and det(h) for a stack of symmetric d x d matrices, d <= 3,
+    by cofactors of the upper triangle."""
+    d = g.shape[1]
+    if d == 1:
+        return g, h[:, 0, 0]
+    if d == 2:
+        a, b, c = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
+        g0, g1 = g.T
+        return np.stack((c * g0 - b * g1, a * g1 - b * g0), axis=1), a * c - b * b
+    a, b, c, e, f, k = h[:, 0, 0], h[:, 0, 1], h[:, 0, 2], h[:, 1, 1], h[:, 1, 2], h[:, 2, 2]
+    c00, c01, c02 = e * k - f * f, c * f - b * k, b * f - c * e
+    c11, c12, c22 = a * k - c * c, b * c - a * f, a * e - b * b
+    g0, g1, g2 = g.T
+    adj_g = np.stack((
+        c00 * g0 + c01 * g1 + c02 * g2,
+        c01 * g0 + c11 * g1 + c12 * g2,
+        c02 * g0 + c12 * g1 + c22 * g2,
+    ), axis=1)
+    return adj_g, a * c00 + b * c01 + c * c02

@@ -236,10 +236,10 @@ def test_criterion_8_noise_variance_trend(grid_p20):
     assert ok
 
 
-def kernel_rows(z, model, tau, y):
+def kernel_rows(z, model, m_percent, y):
     """Log-likelihood, gradient and information of each point ``z[i]``
     against data row ``y[i]``, through the scoring kernel."""
-    incl = _inclusion(model, tau)
+    incl = _inclusion(model, m_percent)
     z = np.asarray(z, dtype=float)
     y = np.asarray(y, dtype=float)[:, incl.mask]
     return _evaluate(z, y, np.arange(len(z)), incl, model.p)
@@ -261,7 +261,7 @@ def test_criterion_9_optimizer_correctness():
             d=2, p=10, c_hat=tm.c, b_hat=tm.b, tau2_hat=tm.tau2,
             eigvals=np.ones(2),
         )
-        tau = bf.select_tau_threshold(model.tau2_hat, 90.0)
+        m_percent = 90.0
 
         # Analytic gradient vs centered finite differences.  The difference
         # of two log-likelihoods carries ~ulp/(2h) = 5e-11 of rounding
@@ -270,13 +270,13 @@ def test_criterion_9_optimizer_correctness():
         # than float rounding.
         z = rng.standard_normal(2)
         y_row = y.data[:1]
-        grad = kernel_rows(z[None, :], model, tau, y_row)[1][0]
+        grad = kernel_rows(z[None, :], model, m_percent, y_row)[1][0]
         for k in range(2):
             dz = np.zeros(2)
             dz[k] = h
             fd = (
-                kernel_rows((z + dz)[None, :], model, tau, y_row)[0][0]
-                - kernel_rows((z - dz)[None, :], model, tau, y_row)[0][0]
+                kernel_rows((z + dz)[None, :], model, m_percent, y_row)[0][0]
+                - kernel_rows((z - dz)[None, :], model, m_percent, y_row)[0][0]
             ) / (2 * h)
             allowed = 1e-5 * abs(grad[k]) + 1e-9
             fd_worst = max(fd_worst, abs(fd - grad[k]) / allowed)
@@ -289,7 +289,7 @@ def test_criterion_9_optimizer_correctness():
             bf.estimate_scores(y, model, bf.ScoreConfig(max_iter=k)).z_hat
             for k in range(1, int(scores.iterations.max()) + 1)
         ]
-        path = np.stack([kernel_rows(s, model, tau, y.data)[0] for s in states])
+        path = np.stack([kernel_rows(s, model, m_percent, y.data)[0] for s in states])
         path_ok = path_ok and bool(np.all(np.diff(path, axis=0) >= -1e-12))
         grad_ok = grad_ok and bool(
             np.all(scores.grad_norms[scores.converged] <= 1e-8)
@@ -302,7 +302,7 @@ def test_criterion_9_optimizer_correctness():
         norms = np.linalg.norm(z0, axis=1, keepdims=True)
         z0 = np.where(norms > 3.0, z0 * (3.0 / norms), z0)
         b = bf.estimate_scores(y, model, cfg, z0=z0)
-        lam_min = np.linalg.eigvalsh(kernel_rows(a.z_hat, model, tau, y.data)[2]).min(axis=1)
+        lam_min = np.linalg.eigvalsh(kernel_rows(a.z_hat, model, m_percent, y.data)[2]).min(axis=1)
         for i in range(4):
             if not (a.converged[i] and b.converged[i]):
                 continue

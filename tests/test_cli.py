@@ -9,7 +9,7 @@ import pytest
 
 from binfactor.cli import main
 from binfactor.model_io import read_binary_matrix, read_model, write_scores
-from binfactor.scores import ScoreConfig, estimate_scores
+from binfactor.scores import ScoreConfig, estimate_scores, inclusion_mask
 from binfactor.simulate import SimScenario, generate_dataset, generate_true_model
 from binfactor.spectral import EigengapWarning
 
@@ -238,7 +238,7 @@ class TestDegenerateInputs:
         "constant column", "duplicated column", "complemented column",
         "p=2", "d=p", "n=1", "all zero", "not PSD", "not PSD, d=p",
     ])
-    def test_fit_then_score_is_finite_and_repeatable(self, tmp_path, case):
+    def test_fit_then_score_is_finite_and_repeatable(self, tmp_path, capsys, case):
         y, d = _degenerate_case(case)
         data = tmp_path / "data.csv"
         data.write_text("\n".join(",".join(map(str, row)) for row in y) + "\n")
@@ -252,10 +252,26 @@ class TestDegenerateInputs:
             assert np.isfinite(values).all()
         if case == "not PSD, d=p":
             assert model.meta["negative_eigvals"] == 1
+        capsys.readouterr()
         outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for out in outs:
             assert main(["score", "--data", str(data), "--model", str(model_path),
                          "--out", str(out)]) == 0
+        # At d = p every noise variance is floored, so no component enters
+        # the likelihood: the summary says so, and a warning names --m and
+        # the floored variances.  The exit status and the table are as usual.
+        captured = capsys.readouterr()
+        p = y.shape[1]
+        if case in ("d=p", "not PSD, d=p"):
+            assert captured.out.count(f"components in the likelihood: 0 of {p}\n") == 2
+            assert captured.err.count("warning: no component enters the likelihood") == 2
+            assert "--m" in captured.err
+            assert f"floored noise variances: {p} of {p}" in captured.err
+        else:
+            k = int(inclusion_mask(model, 90.0).sum())
+            assert k > 0
+            assert captured.out.count(f"components in the likelihood: {k} of {p}\n") == 2
+            assert "warning" not in captured.err
         table = np.loadtxt(outs[0], delimiter=",", skiprows=1, ndmin=2)
         z_hat = table[:, :d]
         assert z_hat.shape == y.shape[:1] + (d,)

@@ -19,6 +19,7 @@ from binfactor.scores import (
     LatentScores,
     ScoreConfig,
     estimate_scores,
+    inclusion_mask,
     reconstruct,
     select_tau_threshold,
 )
@@ -35,23 +36,24 @@ def make_model(p, d, seed, tau2=None, c=None):
     )
 
 
-def evaluate_rows(z, model, tau, y):
+def evaluate_rows(z, model, m_percent, y):
     """Log-likelihood, gradient and information of each point ``z[i]``
-    against data row ``y[i]``, through the scoring kernel."""
-    incl = _inclusion(model, tau)
+    against data row ``y[i]``, through the scoring kernel, with the
+    components that ``inclusion_mask`` keeps at ``m_percent``."""
+    incl = _inclusion(model, m_percent)
     z = np.asarray(z, dtype=float)
     y = np.asarray(y, dtype=float)[:, incl.mask]
     return _evaluate(z, y, np.arange(len(z)), incl, model.p)
 
 
-def evaluate_row(z, model, tau, y_row):
+def evaluate_row(z, model, m_percent, y_row):
     """(log-likelihood, gradient, information) of one sample."""
-    ll, g, info = evaluate_rows(np.reshape(z, (1, -1)), model, tau, np.reshape(y_row, (1, -1)))
+    ll, g, info = evaluate_rows(np.reshape(z, (1, -1)), model, m_percent, np.reshape(y_row, (1, -1)))
     return ll[0], g[0], info[0]
 
 
-def loglik(z, model, tau, y_row):
-    return evaluate_row(z, model, tau, y_row)[0]
+def loglik(z, model, m_percent, y_row):
+    return evaluate_row(z, model, m_percent, y_row)[0]
 
 
 def loglik_oracle(z, model, tau, y_row):
@@ -74,12 +76,11 @@ def likelihood_path(y, model):
     at k steps stops where the uncapped run is after k steps.
     """
     cfg = ScoreConfig()
-    tau = select_tau_threshold(model.tau2_hat, cfg.m_percent)
     steps = int(estimate_scores(y, model, cfg).iterations.max())
     states = [np.zeros((y.n, model.d))] + [
         estimate_scores(y, model, ScoreConfig(max_iter=k)).z_hat for k in range(1, steps + 1)
     ]
-    return np.stack([evaluate_rows(z, model, tau, y.data)[0] for z in states])
+    return np.stack([evaluate_rows(z, model, cfg.m_percent, y.data)[0] for z in states])
 
 
 @pytest.fixture
@@ -129,13 +130,13 @@ class TestSelectTauThreshold:
 class TestRestrictedLoglik:
     def test_symmetric_case(self):
         model = make_model(6, 2, seed=1, c=np.zeros(6))
-        val = loglik(np.zeros(2), model, 0.0, np.ones(6))
+        val = loglik(np.zeros(2), model, 100.0, np.ones(6))
         assert val == pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_empty_inclusion_is_zero(self):
-        model = make_model(5, 2, seed=2)
-        tau_above_all = float(np.sqrt(model.tau2_hat).max()) + 1.0
-        assert loglik(np.zeros(2), model, tau_above_all, np.zeros(5)) == 0.0
+        model = make_model(5, 2, seed=2, tau2=np.full(5, TAU2_FLOOR))
+        assert not inclusion_mask(model, 100.0).any()
+        assert loglik(np.zeros(2), model, 100.0, np.zeros(5)) == 0.0
 
     def test_matches_direct_oracle(self):
         rng = np.random.default_rng(9)
@@ -144,7 +145,7 @@ class TestRestrictedLoglik:
         for _ in range(10):
             z = rng.standard_normal(2)
             y_row = rng.integers(0, 2, size=5)
-            mine = loglik(z, model, tau, y_row)
+            mine = loglik(z, model, 80.0, y_row)
             assert mine == pytest.approx(loglik_oracle(z, model, tau, y_row), abs=1e-12)
 
     def test_never_positive(self):
@@ -153,7 +154,7 @@ class TestRestrictedLoglik:
         for _ in range(20):
             z = rng.standard_normal(2) * 2
             y_row = rng.integers(0, 2, size=8)
-            assert loglik(z, model, 0.0, y_row) <= 0.0
+            assert loglik(z, model, 100.0, y_row) <= 0.0
 
     def test_exclusion_leaves_included_terms(self):
         model = make_model(6, 2, seed=6)
@@ -164,7 +165,7 @@ class TestRestrictedLoglik:
         tau_lo = select_tau_threshold(model.tau2_hat, 100.0)
         tau_hi = select_tau_threshold(model.tau2_hat, 50.0)
         dropped = (tau_sd > tau_lo) & ~(tau_sd > tau_hi)
-        diff = loglik(z, model, tau_lo, y_row) - loglik(z, model, tau_hi, y_row)
+        diff = loglik(z, model, 100.0, y_row) - loglik(z, model, 50.0, y_row)
         per_term = 0.0
         for j in np.flatnonzero(dropped):
             x = (float(model.b_hat[j] @ z) - model.c_hat[j]) / tau_sd[j]
@@ -178,26 +179,24 @@ class TestLoglikGradient:
     def test_matches_finite_difference(self):
         rng = np.random.default_rng(12)
         model = make_model(10, 2, seed=13)
-        tau = select_tau_threshold(model.tau2_hat, 90.0)
         h = 1e-6
         for _ in range(10):
             z = rng.standard_normal(2)
             y_row = rng.integers(0, 2, size=10)
-            grad = evaluate_row(z, model, tau, y_row)[1]
+            grad = evaluate_row(z, model, 90.0, y_row)[1]
             for k in range(2):
                 dz = np.zeros(2)
                 dz[k] = h
                 fd = (
-                    loglik(z + dz, model, tau, y_row)
-                    - loglik(z - dz, model, tau, y_row)
+                    loglik(z + dz, model, 90.0, y_row)
+                    - loglik(z - dz, model, 90.0, y_row)
                 ) / (2 * h)
                 assert fd == pytest.approx(grad[k], rel=1e-5, abs=1e-10)
 
     def test_empty_inclusion_zero_vector(self):
-        model = make_model(5, 3, seed=14)
-        tau_above_all = float(np.sqrt(model.tau2_hat).max()) + 1.0
+        model = make_model(5, 3, seed=14, tau2=np.full(5, TAU2_FLOOR))
         np.testing.assert_array_equal(
-            evaluate_row(np.ones(3), model, tau_above_all, np.zeros(5))[1], np.zeros(3)
+            evaluate_row(np.ones(3), model, 100.0, np.zeros(5))[1], np.zeros(3)
         )
 
 
@@ -214,12 +213,14 @@ def unit_probit_model():
 
 
 # |x| past any probability floor; the edges of erfcx's branches in
-# s = |x| / sqrt 2 (0, 0.91, 8 and 50); and s = 1, with its float
-# neighbours, and |x| = 5, where Phi's branches and the kernel's used to meet.
+# s = |x| / sqrt 2 (0, 3.5, 8 and 50), 3.5 with its float neighbours; and
+# s = 0.91 and s = 1, with its float neighbours, and |x| = 5, where Phi's
+# branches and the kernel's used to meet.
 ROOT2 = math.sqrt(2.0)
 TAIL_MAGNITUDES = (
     0.0, 0.5, 0.91 * ROOT2, np.nextafter(ROOT2, 0.0), ROOT2, np.nextafter(ROOT2, 2.0),
     3.0, 5.0, 8.0 * ROOT2, 50.0 * ROOT2, 8.0, 12.0, 20.0, 30.0, 40.0,
+    np.nextafter(3.5 * ROOT2, 0.0), 3.5 * ROOT2, np.nextafter(3.5 * ROOT2, 9.0),
 )
 TAIL_POINTS = [(x, y) for x in TAIL_MAGNITUDES for y in (0, 1)] + [
     (-x, y) for x in TAIL_MAGNITUDES if x > 0.0 for y in (0, 1)
@@ -239,7 +240,7 @@ class TestTails:
                 oracle = float(mp.log1p(-mp.ncdf(-mp.mpf(t))))
             else:
                 oracle = float(mp.log(mp.ncdf(mp.mpf(t))))
-        val = loglik(np.array([x]), unit_probit_model(), 0.0, np.array([y]))
+        val = loglik(np.array([x]), unit_probit_model(), 100.0, np.array([y]))
         assert val == pytest.approx(oracle, rel=1e-13, abs=1e-300)
 
     @pytest.mark.parametrize("x, y", TAIL_POINTS)
@@ -248,10 +249,10 @@ class TestTails:
         row = np.array([y])
         h = 1e-6
         fd = (
-            loglik(np.array([x + h]), model, 0.0, row)
-            - loglik(np.array([x - h]), model, 0.0, row)
+            loglik(np.array([x + h]), model, 100.0, row)
+            - loglik(np.array([x - h]), model, 100.0, row)
         ) / (2 * h)
-        grad = evaluate_row(np.array([x]), model, 0.0, row)[1][0]
+        grad = evaluate_row(np.array([x]), model, 100.0, row)[1][0]
         assert grad == pytest.approx(fd, rel=1e-6, abs=1e-300)
 
 
@@ -269,14 +270,14 @@ class TestCurvature:
         )
         # (pdf(0) / Phi(0))^2 = 4 pdf(0)^2, where the observed curvature
         # equals the Fisher information.
-        info = evaluate_row(np.zeros(1), model, 0.0, np.zeros(1))[2]
+        info = evaluate_row(np.zeros(1), model, 100.0, np.zeros(1))[2]
         assert info[0, 0] == pytest.approx(0.6366197723675814, abs=1e-12)
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(15)
         model = make_model(12, 3, seed=16)
         for _ in range(10):
-            info = evaluate_row(rng.standard_normal(3), model, 0.0, np.zeros(12))[2]
+            info = evaluate_row(rng.standard_normal(3), model, 100.0, np.zeros(12))[2]
             np.testing.assert_allclose(info, info.T, atol=1e-14)
             assert np.linalg.eigvalsh(info).min() >= -1e-12
 
@@ -285,7 +286,7 @@ class TestCurvature:
         # numeric Hessians equals the numeric Hessian at the averaged y.
         model = make_model(4, 1, seed=17)
         z = np.array([0.3])
-        tau = 0.0
+        m_percent = 100.0
         rng = np.random.default_rng(18)
         probs = std_normal_cdf(
             (model.b_hat @ z - model.c_hat) / np.sqrt(model.tau2_hat)
@@ -294,11 +295,11 @@ class TestCurvature:
         y_bar = draws.mean(axis=0)
         h = 1e-4
         num_hess = -(
-            loglik(z + h, model, tau, y_bar)
-            - 2 * loglik(z, model, tau, y_bar)
-            + loglik(z - h, model, tau, y_bar)
+            loglik(z + h, model, m_percent, y_bar)
+            - 2 * loglik(z, model, m_percent, y_bar)
+            + loglik(z - h, model, m_percent, y_bar)
         ) / h**2
-        info = evaluate_row(z, model, tau, y_bar)[2][0, 0]
+        info = evaluate_row(z, model, m_percent, y_bar)[2][0, 0]
         assert num_hess == pytest.approx(info, rel=0.02)
 
     @pytest.mark.parametrize("x, y", TAIL_POINTS)
@@ -309,7 +310,7 @@ class TestCurvature:
         with mp.workdps(40):
             lam = mp.npdf(t) / mp.ncdf(t)
             oracle = lam * (lam + t)
-        val = evaluate_row(np.array([x]), unit_probit_model(), 0.0, np.array([y]))[2][0, 0]
+        val = evaluate_row(np.array([x]), unit_probit_model(), 100.0, np.array([y]))[2][0, 0]
         if oracle > 1e-290:
             assert val == pytest.approx(float(oracle), rel=1e-12, abs=0.0)
         else:
@@ -342,7 +343,7 @@ class TestCurvature:
                     g += float(math.copysign(1.0, x) * (w * m_l - (1 - w) * m_s)) * bt
                     info = w * m_l * (m_l + a) + (1 - w) * m_s * (m_s - a)
                     curv += float(info) * np.outer(bt, bt)
-            got = evaluate_row(z, model, 0.0, y_row)
+            got = evaluate_row(z, model, 100.0, y_row)
             assert got[0] == pytest.approx(ll / 6, rel=1e-13)
             np.testing.assert_allclose(got[1], g / 6, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(got[2], curv / 6, rtol=1e-12, atol=1e-15)
@@ -350,16 +351,15 @@ class TestCurvature:
     def test_matches_numeric_hessian_on_binary_row(self):
         model = make_model(8, 1, seed=42)
         y_row = np.random.default_rng(43).integers(0, 2, size=8)
-        tau = select_tau_threshold(model.tau2_hat, 90.0)
         h = 1e-4
         for z in (-3.0, -0.7, 0.0, 0.4, 2.5):
             z = np.array([z])
             num_hess = -(
-                loglik(z + h, model, tau, y_row)
-                - 2 * loglik(z, model, tau, y_row)
-                + loglik(z - h, model, tau, y_row)
+                loglik(z + h, model, 90.0, y_row)
+                - 2 * loglik(z, model, 90.0, y_row)
+                + loglik(z - h, model, 90.0, y_row)
             ) / h**2
-            info = evaluate_row(z, model, tau, y_row)[2][0, 0]
+            info = evaluate_row(z, model, 90.0, y_row)[2][0, 0]
             assert num_hess == pytest.approx(info, rel=1e-5)
 
 
@@ -403,8 +403,7 @@ class TestEstimateScores:
         cfg = ScoreConfig(grad_tol=1e-11)
         a = estimate_scores(y, model, cfg)
         b = estimate_scores(y, model, cfg, z0=z0)
-        tau = select_tau_threshold(model.tau2_hat, cfg.m_percent)
-        lam_min = np.linalg.eigvalsh(evaluate_rows(a.z_hat, model, tau, y.data)[2]).min(axis=1)
+        lam_min = np.linalg.eigvalsh(evaluate_rows(a.z_hat, model, cfg.m_percent, y.data)[2]).min(axis=1)
         usable = a.converged & b.converged & (lam_min >= 1e-4)
         assert usable.mean() > 0.4
         np.testing.assert_allclose(a.z_hat[usable], b.z_hat[usable], atol=1e-6)
@@ -452,7 +451,7 @@ class TestEstimateScores:
             d=model.d, p=model.p, c_hat=model.c_hat, b_hat=model.b_hat, tau2_hat=tau2,
             eigvals=model.eigvals,
         )
-        incl = _inclusion(floored, select_tau_threshold(tau2, 100.0))
+        incl = _inclusion(floored, 100.0)
         np.testing.assert_array_equal(incl.mask, tau2 > TAU2_FLOOR)
         flipped = y.data.copy()
         flipped[:, [0, 3]] ^= 1
@@ -570,7 +569,7 @@ class TestEstimateScores:
         # branch, s = |x| / sqrt 2 >= 8.
         y, model = self._simulated(d=d, seed=29)
         block = estimate_scores(y, model)
-        incl = _inclusion(model, select_tau_threshold(model.tau2_hat, 90.0))
+        incl = _inclusion(model, 90.0)
         assert incl.block_rows >= y.n
         x_max = np.abs(block.z_hat @ incl.bt - incl.ct).max(axis=1)
         far = int(np.argmax(x_max))
@@ -592,7 +591,7 @@ class TestEstimateScores:
         # and a budget of 3 m leaves it three; n spans several shards under
         # both.  The layout and the thread count leave every bit alone.
         y, model = self._simulated(n=2000, p=700, d=3, seed=34)
-        incl = _inclusion(model, select_tau_threshold(model.tau2_hat, 90.0))
+        incl = _inclusion(model, 90.0)
         m = incl.ct.size
         assert m >= 600 and incl.block_rows == scores_module._CELL_BUDGET // m
         assert y.n > 2 * scores_module._SHARD_BLOCKS * incl.block_rows
@@ -609,7 +608,7 @@ class TestEstimateScores:
     def test_shards_hold_at_most_8192_rows_of_narrow_data(self, p):
         # Narrow data has blocks of thousands of rows; its shards still cut
         # n at least as finely as 8,192-row shards, in whole blocks.
-        incl = _inclusion(make_model(p, 1, seed=38), -1.0)
+        incl = _inclusion(make_model(p, 1, seed=38), 100.0)
         m = incl.ct.size
         assert m == p
         assert incl.block_rows == max(1, min(scores_module._CELL_BUDGET // m, 8192))
@@ -659,7 +658,7 @@ class TestSparseColumns:
         _, _, model = fitted
         floored = model.tau2_hat <= TAU2_FLOOR
         assert floored.any()
-        incl = _inclusion(model, select_tau_threshold(model.tau2_hat, ScoreConfig().m_percent))
+        incl = _inclusion(model, ScoreConfig().m_percent)
         assert not (incl.mask & floored).any()
 
     def test_every_row_converges_in_few_steps(self, fitted):
@@ -704,7 +703,7 @@ class TestCertifiedStep:
         y = BinaryMatrix(rng.integers(0, 2, size=(n, p)).astype(np.uint8))
         tight = estimate_scores(y, model, ScoreConfig(grad_tol=1e-12))
         z = tight.z_hat + rng.standard_normal((n, d)) * 10.0**scale
-        incl = _inclusion(model, select_tau_threshold(model.tau2_hat, 90.0))
+        incl = _inclusion(model, 90.0)
         y_incl = y.data[:, incl.mask]
         rows = np.arange(n)
         ll, g, curv = _evaluate(z, y_incl, rows, incl, p)
@@ -769,7 +768,7 @@ class TestCertifiedStep:
             eigvals=model.eigvals,
         )
         cfg = ScoreConfig(m_percent=100.0)
-        assert _inclusion(floored, select_tau_threshold(floored.tau2_hat, 100.0)).lipschitz > 1e12
+        assert _inclusion(floored, 100.0).lipschitz > 1e12
         a = estimate_scores(y, floored, cfg)
         monkeypatch.setattr(scores_module, "_PSI3_MAX", math.inf)
         b = estimate_scores(y, floored, cfg)
@@ -778,11 +777,38 @@ class TestCertifiedStep:
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
 
+def closed_form_by_row(h, g):
+    """adj(h) g and det(h) of one symmetric d x d matrix, d <= 3, in Python
+    floats: each entry's products and sums in the order of ``_solve_steps``."""
+    if len(g) == 1:
+        return [g[0]], h[0][0]
+    if len(g) == 2:
+        (a, b), (_, c) = h
+        return [c * g[0] - b * g[1], a * g[1] - b * g[0]], a * c - b * b
+    (a, b, c), (_, e, f), (_, _, k) = h
+    cof = [
+        [e * k - f * f, c * f - b * k, b * f - c * e],
+        [c * f - b * k, a * k - c * c, b * c - a * f],
+        [b * f - c * e, b * c - a * f, a * e - b * b],
+    ]
+    adj_g = [cof[r][0] * g[0] + cof[r][1] * g[1] + cof[r][2] * g[2] for r in range(3)]
+    return adj_g, a * cof[0][0] + b * cof[0][1] + c * cof[0][2]
+
+
 def solve_steps_by_row(curv, g):
-    """Row-by-row reference: ridge a singular matrix, zero step if empty."""
+    """Row-by-row reference: for d <= 3 the closed form adj(H) g / det(H),
+    unless det(H) is at most 1e-8 of the product of H's diagonal; those
+    rows, and every row for d >= 4, by a LAPACK solve, ridged when it
+    meets a zero pivot, with a zero step when the trace is zero."""
     d = g.shape[1]
     step = np.empty_like(g)
     for i in range(g.shape[0]):
+        h, gi = curv[i].tolist(), g[i].tolist()
+        if d <= 3:
+            adj_g, det = closed_form_by_row(h, gi)
+            if det > 1e-8 * math.prod(h[k][k] for k in range(d)):
+                step[i] = [v / det for v in adj_g]
+                continue
         try:
             step[i] = np.linalg.solve(curv[i], g[i])
         except np.linalg.LinAlgError:
@@ -795,11 +821,15 @@ def solve_steps_by_row(curv, g):
     return step
 
 
+def spd_stack(rng, n, d):
+    a = rng.standard_normal((n, d, d))
+    return a @ a.transpose(0, 2, 1) + np.eye(d)
+
+
 class TestSolveSteps:
     def test_singular_rows_ridged_together(self):
         rng = np.random.default_rng(41)
-        a = rng.standard_normal((3, 2, 2))
-        regular = a @ a.transpose(0, 2, 1) + np.eye(2)
+        regular = spd_stack(rng, 3, 2)
         rank_one = np.array([[1.0, 2.0], [2.0, 4.0]])  # exact zero pivot
         curv = np.stack(
             [regular[0], rank_one, regular[1], np.zeros((2, 2)), 3.0 * rank_one, regular[2]]
@@ -808,6 +838,55 @@ class TestSolveSteps:
         step = _solve_steps(curv, g)
         np.testing.assert_array_equal(step, solve_steps_by_row(curv, g))
         np.testing.assert_array_equal(step[3], np.zeros(2))
+
+    def test_singular_rows_one_factor(self):
+        curv = np.array([[[2.0]], [[0.0]], [[0.25]], [[0.0]]])
+        g = np.array([[1.0], [3.0], [-1.0], [0.0]])
+        step = _solve_steps(curv, g)
+        np.testing.assert_array_equal(step, solve_steps_by_row(curv, g))
+        np.testing.assert_array_equal(step[:, 0], [0.5, 0.0, -4.0, 0.0])
+
+    def test_singular_rows_three_factors(self):
+        # Rank one and rank two with integer entries (det exactly 0 in
+        # floats), and the zero matrix, among regular rows: the singular ones
+        # are ridged by 1e-8 trace / 3 and the zero one gets a zero step.
+        rng = np.random.default_rng(42)
+        regular = spd_stack(rng, 3, 3)
+        v, u = np.array([1.0, 2.0, 3.0]), np.array([2.0, -1.0, 1.0])
+        rank_one, rank_two = np.outer(v, v), np.outer(v, v) + np.outer(u, u)
+        curv = np.stack(
+            [regular[0], rank_one, regular[1], np.zeros((3, 3)), rank_two, regular[2]]
+        )
+        g = rng.standard_normal((6, 3))
+        step = _solve_steps(curv, g)
+        np.testing.assert_array_equal(step, solve_steps_by_row(curv, g))
+        np.testing.assert_array_equal(step[3], np.zeros(3))
+        for row in (1, 4):
+            ridge = 1e-8 * np.trace(curv[row]) / 3
+            ridged = np.linalg.solve(curv[row] + ridge * np.eye(3), g[row])
+            np.testing.assert_array_equal(step[row], ridged)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        d=st.integers(1, 3),
+        log_cond=st.floats(0.0, 3.0),
+        log_scale=st.floats(-6.0, 6.0),
+    )
+    def test_closed_form_matches_lapack(self, seed, d, log_cond, log_scale):
+        # Well-conditioned SPD stacks, exactly symmetric as the curvature
+        # is: each row is within 16 eps cond of LAPACK's solve, relative.
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.standard_normal((8, d, d)))[0]
+        eig = 10.0 ** (log_scale + rng.uniform(0.0, log_cond, (8, d)))
+        curv = (q * eig[:, None, :]) @ q.transpose(0, 2, 1)
+        curv = 0.5 * (curv + curv.transpose(0, 2, 1))
+        g = rng.standard_normal((8, d)) * 10.0 ** rng.uniform(-6.0, 6.0, (8, 1))
+        step = _solve_steps(curv, g)
+        np.testing.assert_array_equal(step, solve_steps_by_row(curv, g))
+        ref = np.linalg.solve(curv, g[..., None])[..., 0]
+        bound = 16 * np.finfo(float).eps * np.linalg.cond(curv) * np.linalg.norm(ref, axis=1)
+        assert np.all(np.linalg.norm(step - ref, axis=1) <= bound)
 
 
 class TestReconstruct:
