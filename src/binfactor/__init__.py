@@ -60,6 +60,7 @@ from .simulate import (
     population_probabilities,
     population_sigma,
     population_subspace_discrepancy,
+    run_grid,
     run_replications,
 )
 from .spectral import (

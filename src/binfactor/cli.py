@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 1 on a runtime failure, 2 on invalid input or
 flags.  Every command is deterministic given its flags and seed; the fit,
 score and simulate outputs are byte-identical across runs and across
-``--threads`` settings.
+``--threads`` settings.  ``simulate`` runs its whole grid in one call of
+``run_grid`` and writes the metrics CSV once, after the last replication.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from . import model_io
 from .parallel import usable_cpus
 from .scores import ScoreConfig, estimate_scores, inclusion_mask
 from .selfcheck import format_report, run_selfcheck
-from .simulate import SimScenario, run_replications
+from .simulate import SimScenario, run_grid
 from .spectral import TAU2_FLOOR, fit_model
 
 EXIT_OK = 0
@@ -185,11 +186,10 @@ def _cmd_simulate(args) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
-    records = []
     for scn in scenarios:
         print(f"running {scn.label} ({scn.reps} replications)", file=sys.stderr)
-        records.extend(run_replications(scn, score_config=cfg, threads=args.threads))
-        model_io.write_metrics(records, args.out, include_timings=args.timings)
+    records = run_grid(scenarios, score_config=cfg, threads=args.threads)
+    model_io.write_metrics(records, args.out, include_timings=args.timings)
     failures = sum(1 for r in records if r.error)
     print(f"wrote {len(records)} metric rows to {args.out} ({failures} failed replications)")
     return EXIT_OK

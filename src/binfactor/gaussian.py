@@ -48,7 +48,8 @@ root beyond it is returned clamped there.  Pairs that need the same number
 of panels are stacked into dense arrays of at most ``_NODE_BUDGET`` (2**16)
 quadrature nodes, so the quadrature's temporaries stay at 512 KB however
 many panels a tail pair needs.  The inversion works through its pairs in
-chunks of ``_CHUNK_PAIRS`` (16384), which run on up to ``threads`` worker
+chunks of at most ``_CHUNK_PAIRS`` (16384), at least two once a batch has
+more than ``_SPLIT_PAIRS`` (4096), which run on up to ``threads`` worker
 processes.  Each pair is computed from its own values only and summed along
 its own contiguous row, so its result is bitwise the same alone, in any
 batch, in any order, on either side of a chunk or node-budget boundary and
@@ -159,11 +160,13 @@ _MARGINAL_ULPS = 4
 # at most two bits; a switch at 0.01 let the relative error reach 1e-13.
 _TAIL_FRACTION = 0.25
 
-# Pairs per chunk of the inversion, the unit of its workers: a batch of
-# at most this many pairs runs inline, with no worker started.  Each
+# Pairs per chunk of the inversion, the unit of its workers: at most
+# _CHUNK_PAIRS, and a batch of more than _SPLIT_PAIRS pairs (p >= 92) is
+# cut into at least two chunks, so that two workers share it.  Each
 # iteration of the root finder is a few numpy calls per chunk, so a small
-# chunk is mostly call overhead and too short to pay for a worker.
+# chunk is mostly call overhead and too short to pay for a fork.
 _CHUNK_PAIRS = 16384
+_SPLIT_PAIRS = 4096
 
 # Quadrature nodes per pass of ``_panel_integrals``: 2**16 float64 nodes
 # keep each of its temporaries at 512 KB, however many panels a pair needs.
@@ -452,7 +455,10 @@ def tetrachoric_invert_batch(
         return _invert(lo[s], hi[s], p[s])
 
     # An empty batch has no chunk; its one empty solve gives the dtypes.
-    chunks = map_slices(solve, p.size, _CHUNK_PAIRS, threads) or [solve(slice(0, 0))]
+    # The chunk size depends on the batch alone, never on ``threads``.
+    half = -(-p.size // 2) if p.size > _SPLIT_PAIRS else p.size
+    size = max(1, min(_CHUNK_PAIRS, half))
+    chunks = map_slices(solve, p.size, size, threads) or [solve(slice(0, 0))]
     return tuple(np.concatenate(parts).reshape(shape) for parts in zip(*chunks))
 
 
@@ -569,7 +575,9 @@ def _panel_groups(panels):
     """(k, indices) of the pairs that need k > 0 panels, at most
     ``_NODE_BUDGET`` quadrature nodes at a time.  Each pair is summed along
     its own contiguous row, so its bits do not depend on the grouping."""
-    for k in np.unique(panels[panels > 0]):
+    # The nonzero bins of a bincount, in place of np.unique, which imports
+    # numpy.ma on numpy 2.
+    for k in np.flatnonzero(np.bincount(panels)[1:]) + 1:
         group = np.flatnonzero(panels == k)
         rows = max(1, _NODE_BUDGET // (int(k) * _GL_ORDER))
         for start in range(0, group.size, rows):

@@ -327,13 +327,13 @@ class TestSimulate:
         # The full-scale grid takes hours; capture the scenario list instead.
         seen = []
 
-        def stub(scn, score_config=None, threads=1):
-            seen.append(scn)
+        def stub(scenarios, score_config=None, threads=1):
+            seen.extend(scenarios)
             return []
 
         import binfactor.cli as cli_mod
 
-        monkeypatch.setattr(cli_mod, "run_replications", stub)
+        monkeypatch.setattr(cli_mod, "run_grid", stub)
         code = main(["simulate", "--grid", "full", "--reps", "1", "--seed", "1",
                      "--out", str(tmp_path / "m.csv")])
         assert code == 0
@@ -343,13 +343,13 @@ class TestSimulate:
     def test_default_grid_is_desk(self, tmp_path, monkeypatch):
         seen = []
 
-        def stub(scn, score_config=None, threads=1):
-            seen.append(scn)
+        def stub(scenarios, score_config=None, threads=1):
+            seen.extend(scenarios)
             return []
 
         import binfactor.cli as cli_mod
 
-        monkeypatch.setattr(cli_mod, "run_replications", stub)
+        monkeypatch.setattr(cli_mod, "run_grid", stub)
         args = ["simulate", "--reps", "1", "--seed", "1", "--out", str(tmp_path / "m.csv")]
         assert main(args + ["--grid", "desk"]) == 0
         desk = list(seen)
@@ -451,7 +451,7 @@ class TestOutDirectory:
                     tmp_path / "nodir" / "s.csv")
 
     def test_simulate(self, tmp_path, capsys, monkeypatch):
-        self._refuse(monkeypatch, "run_replications")
+        self._refuse(monkeypatch, "run_grid")
         self._check(capsys, ["simulate", "--p", "12", "--n", "300", "--reps", "1"],
                     tmp_path / "nodir" / "m.csv")
 
@@ -465,7 +465,7 @@ class TestOutDirectory:
         if command == "score":
             assert main(["fit", "--data", str(data_csv), "--d", "2",
                          "--out", str(tmp_path / "model.json")]) == 0
-        for name in ("fit_model", "estimate_scores", "run_replications"):
+        for name in ("fit_model", "estimate_scores", "run_grid"):
             self._refuse(monkeypatch, name)
         return argv
 

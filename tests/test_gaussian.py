@@ -670,6 +670,35 @@ class TestBatchedKernel:
         for a, b in zip(serial, threaded):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("pairs, chunks", [
+        (4096, [4096]),  # up to the split threshold: one chunk, run inline
+        (4097, [2049, 2048]),
+        (11175, [5588, 5587]),  # p = 150: one chunk per worker of two
+        (33000, [16384, 16384, 232]),  # past two full chunks: full chunks
+    ])
+    def test_inversion_chunks_follow_the_pair_count_alone(self, monkeypatch, pairs, chunks):
+        real, seen = gaussian.map_slices, []
+
+        def recording(fn, n, size, threads=1):
+            seen.append([len(range(n)[i : i + size]) for i in range(0, n, size)])
+            return real(fn, n, size, threads)
+
+        monkeypatch.setattr(gaussian, "map_slices", recording)
+        for threads in (1, 3):
+            tetrachoric_invert_batch(np.zeros(pairs), np.zeros(pairs), np.full(pairs, 0.3),
+                                     threads=threads)
+        assert seen == [chunks, chunks]
+
+    def test_panel_groups_ascending_without_empty_pairs(self):
+        # The smallest count is kept when no pair has 0 panels.
+        groups = gaussian._panel_groups(np.array([3, 1, 3, 2, 1]))
+        assert [(int(k), idx.tolist()) for k, idx in groups] == [
+            (1, [1, 4]), (2, [3]), (3, [0, 2]),
+        ]
+        groups = gaussian._panel_groups(np.array([0, 2, 0, 2]))
+        assert [(int(k), idx.tolist()) for k, idx in groups] == [(2, [1, 3])]
+        assert list(gaussian._panel_groups(np.array([0, 0]))) == []
+
     def test_node_budget_keeps_each_pair_bitwise(self, monkeypatch):
         # Tail cells with c2 near -c1 and rho near -1 integrate up to the
         # singular point pi/2 and need up to twenty panels.  Under a budget

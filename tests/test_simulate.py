@@ -19,6 +19,7 @@ from binfactor.simulate import (
     population_probabilities,
     population_sigma,
     population_subspace_discrepancy,
+    run_grid,
     run_replications,
 )
 from binfactor.spectral import FactorModel
@@ -237,6 +238,52 @@ class TestRunReplications:
                 "t_spectral",
                 "t_scores",
             }
+
+
+# Three scenarios of 1, 3 and 2 replications: on two workers the second
+# one's slices (jobs 1, 3 and 5) cross both scenario boundaries.
+GRID = [
+    scenario(p=10, reps=1),
+    scenario(p=12, reps=3, seed=5),
+    scenario(d=1, p=8, reps=2, seed=6),
+]
+GRID_ORDER = [(scn.label, r) for scn in GRID for r in range(scn.reps)]
+
+
+def without_timings(records):
+    return [dataclasses.replace(r, timings={}) for r in records]
+
+
+class TestRunGrid:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_equals_per_scenario_runs(self, threads):
+        expected = [r for scn in GRID for r in run_replications(scn)]
+        records = run_grid(GRID, threads=threads)
+        assert [(r.scenario, r.rep) for r in records] == GRID_ORDER
+        assert without_timings(records) == without_timings(expected)
+
+    def test_empty_grid(self):
+        assert run_grid([]) == []
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failing_replication_keeps_its_place(self, monkeypatch, threads):
+        import binfactor.simulate as simulate_mod
+
+        real = simulate_mod._run_one
+
+        def flaky(scn, tm, r, score_config):
+            if scn == GRID[1] and r == 1:
+                raise RuntimeError("boom")
+            return real(scn, tm, r, score_config)
+
+        monkeypatch.setattr(simulate_mod, "_run_one", flaky)
+        records = run_grid(GRID, threads=threads)
+        assert [(r.scenario, r.rep) for r in records] == GRID_ORDER
+        failed = records[GRID_ORDER.index((GRID[1].label, 1))]
+        assert failed.error == "RuntimeError: boom"
+        assert np.isnan([failed.max_err, failed.subspace_d, failed.med_err, failed.tau_err]).all()
+        rest = [r for r in records if r is not failed]
+        assert all(r.error is None and np.isfinite(r.med_err) for r in rest)
 
 
 class TestMetricsRecord:
