@@ -5,20 +5,23 @@ flags.  Every command is deterministic given its flags and seed; the fit,
 score and simulate outputs are byte-identical across runs and across
 ``--threads`` settings.  ``simulate`` runs its whole grid in one call of
 ``run_grid`` and writes the metrics CSV once, after the last replication.
+
+A command pays only for its own modules: each handler imports them when
+it runs, so ``fit`` loads none of ``scores``, ``simulate`` and
+``selfcheck``.  ``binfactor`` and ``python -m binfactor.cli`` both start in
+``console_main``, which freezes the garbage collector's view of the
+process before it exits (see there); ``main`` leaves the collector alone,
+so library callers and tests keep a normal one.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
-from . import model_io
 from .parallel import usable_cpus
-from .scores import ScoreConfig, estimate_scores, inclusion_mask
-from .selfcheck import format_report, run_selfcheck
-from .simulate import SimScenario, run_grid
-from .spectral import TAU2_FLOOR, fit_model
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -53,12 +56,31 @@ def main(argv=None) -> int:
         ):
             raise _UsageError(f"--out must name a file in an existing directory: {out}")
         return args.func(args)
-    except (_UsageError, model_io.DataFormatError, model_io.ModelFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - CLI boundary
+        # Only a command that loaded model_io can raise its format errors;
+        # importing them here keeps model_io off the path of the others.
+        from .model_io import DataFormatError, ModelFormatError
+
+        if isinstance(exc, (_UsageError, DataFormatError, ModelFormatError)):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+
+
+def console_main() -> None:
+    """Run ``main`` as a process: the ``binfactor`` script and ``-m`` entry.
+
+    The interpreter's last garbage collections walk every object the
+    collector tracks, most of them made by the imports of numpy and of the
+    command's modules.  ``gc.freeze`` takes them out of the collector's
+    reach, which saves most of the shutdown time.  It comes after ``main``
+    because each command imports its modules inside it.  Exit still runs
+    atexit handlers, flushes the streams and tears the modules down.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -130,11 +152,14 @@ def _int_list(text: str) -> list[int]:
 
 
 def _cmd_fit(args) -> int:
-    y = model_io.read_binary_matrix(args.data)
+    from .model_io import read_binary_matrix, write_model
+    from .spectral import fit_model
+
+    y = read_binary_matrix(args.data)
     if not 1 <= args.d <= y.p:
         raise _UsageError(f"--d must be between 1 and p={y.p}, got {args.d}")
     model = fit_model(y, args.d, args.threads)
-    model_io.write_model(model, args.out)
+    write_model(model, args.out)
     eig = ", ".join(f"{v:.6g}" for v in model.eigvals)
     print(f"fitted model: p={model.p} n={y.n} d={model.d}")
     print(f"leading eigenvalues: {eig}")
@@ -148,16 +173,20 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    from .model_io import read_binary_matrix, read_model, write_scores
+    from .scores import ScoreConfig, estimate_scores, inclusion_mask
+    from .spectral import TAU2_FLOOR
+
     try:
         cfg = ScoreConfig(m_percent=args.m, grad_tol=args.grad_tol, max_iter=args.max_iter)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    y = model_io.read_binary_matrix(args.data)
-    model = model_io.read_model(args.model)
+    y = read_binary_matrix(args.data)
+    model = read_model(args.model)
     if model.p != y.p:
         raise _UsageError(f"model expects p={model.p} features, data has p={y.p}")
     scores = estimate_scores(y, model, cfg, threads=args.threads)
-    model_io.write_scores(scores, args.out, threads=args.threads)
+    write_scores(scores, args.out, threads=args.threads)
     n_conv = int(scores.converged.sum())
     k = int(inclusion_mask(model, cfg.m_percent).sum())
     print(f"scored {scores.n} samples (d={model.d}); converged: {n_conv}/{scores.n}")
@@ -175,6 +204,10 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .model_io import write_metrics
+    from .scores import ScoreConfig
+    from .simulate import SimScenario, run_grid
+
     ps, ns = _GRIDS[args.grid] if args.grid else (args.p, args.n)
     try:
         scenarios = [
@@ -189,17 +222,19 @@ def _cmd_simulate(args) -> int:
     for scn in scenarios:
         print(f"running {scn.label} ({scn.reps} replications)", file=sys.stderr)
     records = run_grid(scenarios, score_config=cfg, threads=args.threads)
-    model_io.write_metrics(records, args.out, include_timings=args.timings)
+    write_metrics(records, args.out, include_timings=args.timings)
     failures = sum(1 for r in records if r.error)
     print(f"wrote {len(records)} metric rows to {args.out} ({failures} failed replications)")
     return EXIT_OK
 
 
 def _cmd_selfcheck(args) -> int:
+    from .selfcheck import format_report, run_selfcheck
+
     results = run_selfcheck()
     print(format_report(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_RUNTIME
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

@@ -14,15 +14,17 @@ import csv
 import io
 import json
 import os
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from .moments import BinaryMatrix
 from .parallel import map_slices
-from .scores import LatentScores
-from .simulate import TIMING_COLUMNS, MetricsRecord
 from .spectral import FactorModel
+
+if TYPE_CHECKING:  # annotations only: fit loads neither module
+    from .scores import LatentScores
+    from .simulate import MetricsRecord
 
 MODEL_FORMAT_VERSION = 1
 
@@ -214,6 +216,8 @@ def write_metrics(
     seeded experiment.  A message holding a comma, a quote, a newline or a
     carriage return is quoted, so every row keeps the header's columns.
     """
+    from .simulate import TIMING_COLUMNS  # loaded already: it made the records
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     # Before Python 3.12 a lone carriage return is quoted only if the line

@@ -331,9 +331,9 @@ class TestSimulate:
             seen.extend(scenarios)
             return []
 
-        import binfactor.cli as cli_mod
+        import binfactor.simulate as simulate_mod
 
-        monkeypatch.setattr(cli_mod, "run_grid", stub)
+        monkeypatch.setattr(simulate_mod, "run_grid", stub)
         code = main(["simulate", "--grid", "full", "--reps", "1", "--seed", "1",
                      "--out", str(tmp_path / "m.csv")])
         assert code == 0
@@ -347,9 +347,9 @@ class TestSimulate:
             seen.extend(scenarios)
             return []
 
-        import binfactor.cli as cli_mod
+        import binfactor.simulate as simulate_mod
 
-        monkeypatch.setattr(cli_mod, "run_grid", stub)
+        monkeypatch.setattr(simulate_mod, "run_grid", stub)
         args = ["simulate", "--reps", "1", "--seed", "1", "--out", str(tmp_path / "m.csv")]
         assert main(args + ["--grid", "desk"]) == 0
         desk = list(seen)
@@ -426,12 +426,14 @@ class TestOutDirectory:
     reported before the command does any work."""
 
     def _refuse(self, monkeypatch, name):
-        import binfactor.cli as cli_mod
+        # Each command imports its stages when it runs, so they are stubbed
+        # where they are defined.
+        module = {"fit_model": "spectral", "estimate_scores": "scores", "run_grid": "simulate"}
 
         def refuse(*args, **kwargs):
             raise AssertionError(f"{name} must not run")
 
-        monkeypatch.setattr(cli_mod, name, refuse)
+        monkeypatch.setattr(f"binfactor.{module[name]}.{name}", refuse)
 
     def _check(self, capsys, argv, out):
         assert main(argv + ["--out", str(out)]) == 2
@@ -484,12 +486,12 @@ class TestOutDirectory:
 
 class TestRuntimeFailure:
     def test_exits_one_with_message(self, tmp_path, data_csv, capsys, monkeypatch):
-        import binfactor.cli as cli_mod
+        import binfactor.spectral as spectral_mod
 
         def broken(y, d, threads=1):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli_mod, "fit_model", broken)
+        monkeypatch.setattr(spectral_mod, "fit_model", broken)
         code = main(["fit", "--data", str(data_csv), "--d", "2",
                      "--out", str(tmp_path / "m.json")])
         assert code == 1
