@@ -1,12 +1,13 @@
 """Standard-normal and bivariate-normal tail primitives.
 
-The standard-normal functions need numpy and the standard library only.
-``std_normal_tail`` and ``std_normal_cdf`` port the Cephes rationals that
-``scipy.special.ndtr`` evaluates, branch-free.  ``erfcx``, the scaled tail
-on [0, inf), is one fitted degree-(8, 8) rational below 3.5, where the
-scoring kernel's cells mostly fall, and those Cephes rationals beyond; it
-runs in place in the kernel's buffers.  ``std_normal_quantile`` is
-``statistics.NormalDist.inv_cdf`` (Wichura's AS 241).
+The standard-normal functions need numpy and the standard library only,
+and share one implementation of the normal tail: ``erfcx``, the scaled
+tail on [0, inf), is one fitted rational below 3.5, where the scoring
+kernel's cells mostly fall, and one in (3.5 / t)^2 beyond; it runs in place
+in the kernel's buffers.  ``std_normal_tail`` and ``std_normal_cdf`` are
+erfcx times an exponential whose argument is split so that it is exact.
+``std_normal_quantile`` is ``statistics.NormalDist.inv_cdf`` (Wichura's
+AS 241).
 
 The central object is the upper tail probability of a standard bivariate
 normal pair with correlation ``rho``,
@@ -61,7 +62,6 @@ once, and passes them to every evaluation of ``ell``.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,42 +71,11 @@ from .parallel import map_slices
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 HALF_PI = 0.5 * math.pi
 
-# The Cephes rationals (Moshier, ndtr.c) that scipy.special.ndtr evaluates,
-# highest degree first, the denominators' leading 1 left out:
-# erf(s) = s T(s^2) / U(s^2) for |s| < 1, and erfc(s) = exp(-s^2) P(s) / Q(s)
-# on [1, 8) and exp(-s^2) R(s) / S(s) from 8 on.
-_ERF_T = (
-    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-    7.00332514112805075473e3, 5.55923013010394962768e4,
-)
-_ERF_U = (
-    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-    2.26290000613890934246e4, 4.92673942608635921086e4,
-)
-_ERFC_P = (
-    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
-)
-_ERFC_Q = (
-    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-    1.65666309194161350182e3, 5.57535340817727675546e2,
-)
-_ERFC_R = (
-    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
-)
-_ERFC_S = (
-    2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
-)
-# Cephes' MAXLOG, log(DBL_MAX): erfc(s) counts as 0 once s^2 exceeds it.
-_MAXLOG = 7.09782712893383996843e2
 # erfcx(t) below this t is the one rational _ERFCX_P(t) / _ERFCX_Q(t),
-# degree (8, 8) with Q monic, fitted by ``tests/data/make_erfcx_rational.py``
-# to 3.7e-18 relative; in float64 it errs by at most 8e-16.  Above it the
-# rationals of ``std_normal_tail`` take over.
+# degree (8, 8) with Q monic; from it on, sqrt(pi) t erfcx(t) = 1 - w
+# _ERFCX_FAR_P(w) / _ERFCX_FAR_Q(w) in w = (3.5 / t)^2, degree (6, 6) with Q
+# monic, where the correction w P / Q is at most 0.037.  Both are fitted in
+# relative error by ``tests/data/make_erfcx_rational.py``.
 _ERFCX_RATIONAL_END = 3.5
 _ERFCX_P = (
     1.2367767053262477e-07, 0.5641842112057761, 9.595965415099466,
@@ -118,17 +87,19 @@ _ERFCX_Q = (
     2051.9000753633723, 4332.13759558725, 5949.222500570865,
     4842.065359262258, 1783.1891912549972,
 )
-# erfcx(t) past this t is its asymptotic series (1 / (t sqrt pi)) times
-# 1 - u + 3u^2 - 15u^3 + 105u^4 - 945u^5, u = 1 / (2 t^2), whose next term is
-# below 1e-16 here; the R / S rational drifts to 2.7e-15 relative by t = 1e6.
-_ERFCX_SERIES_START = 50.0
-_ERFCX_SERIES = (-945.0, 105.0, -15.0, 3.0, -1.0, 1.0)
+_ERFCX_FAR_P = (
+    0.00170334256096871, 0.5855573943115343, 11.85982788034916,
+    74.28411111070665, 189.27160799714312, 204.05937260140576,
+    76.48343192449838,
+)
+_ERFCX_FAR_Q = (
+    40.30621861027137, 479.1909667544148, 2343.1534326920896,
+    5230.601877344753, 5228.904924507933, 1873.8440821502104,
+)
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _SQRT_HALF = math.sqrt(0.5)
-_SQRT_PI = math.sqrt(math.pi)
-_UNIT_NORMAL = statistics.NormalDist()
-# The exponential of ``std_normal_tail``, (x, out) -> exp(x) into out; the
-# tests put libm's exp here to compare with scipy.special.ndtr bit for bit.
-_exp = np.exp
+# Veltkamp's 2^27 + 1: a * it - (a * it - a) is a's top 26 bits, whose square is exact.
+_SPLITTER = 134217729.0
 
 # Offset from +-1 of a clamped correlation: the one edge of the root
 # finder, which never evaluates ell closer to +-1 than this.
@@ -172,8 +143,24 @@ _SPLIT_PAIRS = 4096
 # keep each of its temporaries at 512 KB, however many panels a pair needs.
 _NODE_BUDGET = 2**16
 
+# The 20-point Gauss-Legendre rule on [-1, 1]: the values of
+# ``numpy.polynomial.legendre.leggauss(20)``, as literals, since importing
+# numpy's polynomial package costs every process about 4 ms.
 _GL_ORDER = 20
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
+_GL_NODES = np.array([
+    -0.993128599185095, -0.9639719272779138, -0.912234428251326, -0.8391169718222188,
+    -0.7463319064601508, -0.636053680726515, -0.5108670019508271, -0.37370608871541955,
+    -0.22778585114164507, -0.07652652113349734, 0.07652652113349734, 0.22778585114164507,
+    0.37370608871541955, 0.5108670019508271, 0.636053680726515, 0.7463319064601508,
+    0.8391169718222188, 0.912234428251326, 0.9639719272779138, 0.993128599185095,
+])
+_GL_WEIGHTS = np.array([
+    0.017614007139150893, 0.040601429800386446, 0.06267204833410879, 0.08327674157670471,
+    0.1019301198172407, 0.1181945319615186, 0.1316886384491769, 0.1420961093183824,
+    0.14917298647260424, 0.15275338713072628, 0.15275338713072628, 0.14917298647260424,
+    0.1420961093183824, 0.1316886384491769, 0.1181945319615186, 0.1019301198172407,
+    0.08327674157670471, 0.06267204833410879, 0.040601429800386446, 0.017614007139150893,
+])
 
 # Panels of this width are enough for the smooth part of the integrand;
 # closer than 0.4 to the cos(theta) singularity at pi/2 they are halved
@@ -196,55 +183,23 @@ def std_normal_cdf(x):
 def std_normal_tail(x):
     """Upper tail P(X > x) = Phi(-x) of the standard normal, elementwise.
 
-    An operation-for-operation port of the Cephes ``ndtr``, ``erf`` and
-    ``erfc`` that ``scipy.special.ndtr`` evaluates (Cody 1969, Math. Comp.
-    23:631, for the form of the rationals).  With s = x / sqrt(2), Phi(-x)
-    is 0.5 - 0.5 erf(s) while |s| < 1, and otherwise erfc(|s|) / 2, taken
-    from 1 where x < 0; erfc is 0 once s^2 exceeds ``_MAXLOG``, so the
-    infinities give exactly 0 and 1.  It has the relative precision of
-    erfc in the tail, about 1e-16, down to the underflow near x = +38.5.
-
-    Every value takes the operations of the erf rational and of P / Q, and
-    ``_blend`` keeps the one its branch selects; the values with |s| >= 8,
-    which take R / S and the underflow rule, are few and are taken by
-    index.  So a value depends on its own x only, not on the others in the
-    array.  With libm's exp in ``_exp`` it equals scipy's bit for bit;
-    numpy's own exp moves about 2% of values, by at most 4 ulps.
+    With a = |x|, Phi(-a) = erfcx(a / sqrt(2)) exp(-a^2 / 2) / 2, taken from
+    1 where x < 0 (the form of Cody 1969, Math. Comp. 23:631).  exp(-a^2 / 2)
+    is exp(-hi^2 / 2) exp(-(hi lo + lo^2 / 2)) on Veltkamp's split a = hi +
+    lo, whose hi^2 is exact, so the rounding of a^2 never reaches the
+    result.  It errs by at most 1e-15 relative while Phi(-a) is a normal
+    float (a <= 37.5), and by a few ulps below that, down to the underflow
+    near a = 38.5; a is clipped at 40, past which the tail is 0, so the
+    infinities give exactly 0 and 1.  A value depends on its own x only.
     """
     x = np.asarray(x, dtype=float)
-    out, work = np.empty(x.shape), np.empty((4,) + x.shape)
-    z, ez, small, den = (work[k, ...] for k in range(4))  # arrays even when x is 0-d
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(x, _SQRT_HALF, out=z)  # s
-        np.multiply(z, z, out=ez)  # s^2
-        # |s| < 1: 0.5 + 0.5 erf(-s) = 0.5 - 0.5 (s T(s^2)) / U(s^2).  Cephes
-        # switches at |s| = sqrt(1/2), but on [sqrt(1/2), 1) its 0.5 erfc(|s|)
-        # = 0.5 (1 - erf(|s|)) rounds to these same bits.
-        _polevl(ez, _ERF_T, small)
-        small *= z
-        small /= _p1evl(ez, _ERF_U, den)
-        small *= -0.5
-        small += 0.5
-        np.abs(z, out=z)
-        _exp(np.negative(ez, out=ez), out=ez)
-        _polevl(z, _ERFC_P, out)
-        out *= ez
-        out /= _p1evl(z, _ERFC_Q, den)
-        # |s| >= 8, where erfc also underflows: few values, taken by index.
-        far = np.flatnonzero(z >= 8.0)
-        if far.size:
-            z_far = np.take(z, far)
-            tail = _polevl(z_far, _ERFC_R, np.empty(far.size))
-            tail *= np.take(ez, far)
-            tail /= _p1evl(z_far, _ERFC_S, np.empty(far.size))
-            tail[z_far * z_far > _MAXLOG] = 0.0
-            np.put(out, far, tail)
-        out *= 0.5  # erfc(|s|) / 2
-        neg = x < 0.0
-        if neg.any():
-            np.copyto(out, np.subtract(1.0, out, out=den), where=neg)
-        _blend(out, small, np.less(z, 1.0, out=den.view(np.uint64)))
-    return out
+    a = np.minimum(np.abs(x), 40.0)
+    hi = a * _SPLITTER
+    hi -= hi - a
+    lo = a - hi
+    tail = 0.5 * erfcx(a * _SQRT_HALF) * np.exp(-(hi * lo + 0.5 * lo * lo))
+    tail *= np.exp(-0.5 * hi * hi)  # last, so that a subnormal tail is rounded once
+    return np.where(x < 0.0, 1.0 - tail, tail)
 
 
 def std_normal_quantile(p):
@@ -253,26 +208,28 @@ def std_normal_quantile(p):
     ``statistics.NormalDist.inv_cdf``, Wichura's AS 241 (1988, Appl.
     Statist. 37:477), one value at a time: callers pass O(p) values.
     """
+    from statistics import NormalDist  # only the commands that fit need it
+
     p = np.asarray(p, dtype=float)
     if np.any((p <= 0.0) | (p >= 1.0)) or not np.all(np.isfinite(p)):
         raise ValueError("quantile argument must lie strictly inside (0, 1)")
-    q = np.array([_UNIT_NORMAL.inv_cdf(v) for v in p.ravel().tolist()], dtype=float)
+    unit = NormalDist()
+    q = np.array([unit.inv_cdf(v) for v in p.ravel().tolist()], dtype=float)
     return q.reshape(p.shape)[()]
 
 
 def erfcx(t, out=None, work=None):
     """The scaled complementary error function exp(t^2) erfc(t), for t >= 0.
 
-    Below t = 3.5 one rational, ``_ERFCX_P(t) / _ERFCX_Q(t)`` (see
-    ``tests/data/make_erfcx_rational.py``), within 8e-16 relative of
-    mpmath.  The values from 3.5 on are few and are taken by index through
-    ``std_normal_tail``'s rationals without their exp(-t^2) factor: P / Q up
-    to 8 and R / S up to 50; from 50 on, where R / S loses relative
-    accuracy, the asymptotic series (1 / (t sqrt pi)) (1 - 1/(2t^2) +
-    3/(4t^4) - ...) to six terms.  A value depends on its own t only.
-    Within 1.5e-15 relative of mpmath on [0, 1e300]; negative t gives nan.
-    The result goes to ``out`` and the denominator to ``work`` (the shape of
-    t), allocated when not given; neither may overlap t.
+    Below t = 3.5 one rational, ``_ERFCX_P(t) / _ERFCX_Q(t)``.  The values
+    from 3.5 on are few and are taken by index through one rational in
+    w = (3.5 / t)^2: (1 - w ``_ERFCX_FAR_P(w) / _ERFCX_FAR_Q(w)``) /
+    (t sqrt(pi)), whose correction to 1 is at most 0.037, so that its own
+    rounding barely reaches the result.  ``tests/data/make_erfcx_rational.py``
+    fits both.  A value depends on its own t only.  Within 8e-16 relative
+    of mpmath below 3.5 and 3e-16 from 3.5 to 1e300; negative t gives nan.
+    The result goes to ``out`` and the denominator to ``work`` (the shape
+    of t), allocated when not given; neither may overlap t.
     """
     t = np.asarray(t, dtype=float)
     out = np.empty(t.shape) if out is None else out
@@ -282,30 +239,13 @@ def erfcx(t, out=None, work=None):
         out /= _p1evl(t, _ERFCX_Q, den)
         far = np.flatnonzero(t >= _ERFCX_RATIONAL_END)  # few values, taken by index
         if far.size:
-            np.put(out, far, _erfcx_far(np.take(t, far)))
+            t_far = np.take(t, far)
+            w = np.square(_ERFCX_RATIONAL_END / t_far)
+            tail = _polevl(w, _ERFCX_FAR_P, np.empty(far.size))
+            tail /= _p1evl(w, _ERFCX_FAR_Q, np.empty(far.size))
+            np.put(out, far, (1.0 - w * tail) / t_far * _INV_SQRT_PI)
         np.put(out, np.flatnonzero(t < 0.0), np.nan)
     return out if out.ndim else out[()]
-
-
-def _erfcx_far(t):
-    """erfcx on a 1-D array of t >= 3.5: Cephes' P / Q below 8, R / S below
-    50 and the asymptotic series from 50 on, each value from its own t."""
-    pq = _polevl(t, _ERFC_P, np.empty(t.size))
-    pq /= _p1evl(t, _ERFC_Q, np.empty(t.size))
-    rs = _polevl(t, _ERFC_R, np.empty(t.size))
-    rs /= _p1evl(t, _ERFC_S, np.empty(t.size))
-    series = _polevl(0.5 / (t * t), _ERFCX_SERIES, np.empty(t.size))
-    series /= t * _SQRT_PI
-    return np.where(t < 8.0, pq, np.where(t < _ERFCX_SERIES_START, rs, series))
-
-
-def _blend(out, value, pick):
-    """out = value where pick (uint64 0 or 1), bit for bit, overwriting value:
-    integer passes, since a masked np.copyto takes about four times as long."""
-    bits = out.view(np.uint64)
-    flips = np.bitwise_xor(bits, value.view(np.uint64), out=value.view(np.uint64))
-    flips *= pick
-    np.bitwise_xor(bits, flips, out=bits)
 
 
 def _polevl(x, coefs, out):

@@ -64,11 +64,11 @@ _SHARD_ROWS = 8192
 # cell's third derivative in x is at most this at any y in [0, 1].
 _PSI3_MAX = 0.2958
 # Rounding of one cell's dx, in ulps of sqrt(2 |ll cell|) + 2, on top of a
-# row sum's m (at most 6.7 against 50-digit mpmath for |x| <= 40, near
-# |x| = 28.5; at most 4.4 below |x| = 3.5 sqrt 2, where erfcx is one rational).
+# row sum's m (against 50-digit mpmath: at most 4.4 below |x| = 3.5 sqrt 2,
+# and 2.0 from there to |x| = 40, near |x| = 32.4).
 _CELL_ULPS = 64
 # A curvature cell errs by at most _CURV_ERR while |x| <= _CERT_X_MAX (by
-# 1.24e-12 at |x| = 39.9 against mpmath); a row whose cells may pass that
+# 6.9e-13 at |x| = 39.9 against mpmath); a row whose cells may pass that
 # |x| is never certified.
 _CERT_X_MAX, _CURV_ERR = 40.0, 2e-12
 # A d <= 3 curvature whose determinant is at most this fraction of the
@@ -475,7 +475,7 @@ def _kernel(z1, y, affine, floats, neg):
     Phi(a) = log1p(-Phi(-a)) and phi(a) / Phi(a).  Nothing cancels or
     underflows on the way, so all stay accurate and finite while s^2 does.
     Below s = 3.5, where nearly all cells fall, E is one rational and a
-    division; the cells past it take ``erfcx``'s other branches by index.
+    division; the cells past it take ``erfcx``'s far rational by index.
 
     The cell's observed curvature -d^2/dx^2 is m (m + a) on the large side,
     with m = phi(a) / Phi(a), and m (m - a) on the small side, with
@@ -483,7 +483,7 @@ def _kernel(z1, y, affine, floats, neg):
     exact second derivative at fractional y as well.  The probit
     likelihood is log-concave, so both lie in [0, 1] and the Newton system
     is positive semidefinite.  m (m - a) cancels as a grows: for |x| <= 40
-    it errs by at most 1.24e-12 against mpmath, about 8e-16 a^2, and below
+    it errs by at most 6.9e-13 against mpmath, about 4.3e-16 a^2, and below
     |x| = 3.5 sqrt 2 by at most 2.1e-14.
 
     Every (rows x components) temporary is written in place, with ``out=``,

@@ -1,7 +1,8 @@
 """Module boundaries: no package module imports another module's private
 names, the package loads no scipy, no command loads numpy.ma, the lazy
-namespace keeps its names, each command loads only its own modules, and
-only the process entry freezes the garbage collector."""
+namespace keeps its names, each command loads only its own modules (and
+no numpy.polynomial), and only the process entry freezes the garbage
+collector."""
 
 import ast
 import contextlib
@@ -128,6 +129,17 @@ print([loaded, public, sorted(binfactor.__all__),
     assert public == all_names == public_after_use == PUBLIC_NAMES
     assert version == "0.1.0"
 
+    # The benchmark times a bare ``python -c "import binfactor"``, with
+    # site on: it may add only the package and what ``import importlib``
+    # adds in the same interpreter state.
+    added = {}
+    for statement in ("import importlib", "import binfactor"):
+        code = f"import sys; before = set(sys.modules); {statement}; print(sorted(set(sys.modules) - before))"
+        run = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        added[statement] = set(ast.literal_eval(run.stdout.strip()))
+    assert added["import binfactor"] - {"binfactor"} <= added["import importlib"]
+
 
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
@@ -150,14 +162,28 @@ def test_each_command_loads_only_its_modules(tmp_path):
     # A sitecustomize hook reports the loaded binfactor modules at exit, so
     # the commands run exactly as ``python -m binfactor.cli`` runs them.
     _tiny_data(tmp_path / "y.csv")
+    # It also reports whether numpy.polynomial and statistics are loaded;
+    # numpy 1 imports numpy.polynomial itself, so a bare ``import numpy``
+    # under the same hook is the baseline.
     hook = tmp_path / "hook"
     hook.mkdir()
     (hook / "sitecustomize.py").write_text(
         "import atexit, sys\n"
-        "atexit.register(lambda: print('LOADED', sorted(m.split('.')[1] for m in sys.modules"
-        " if m.startswith('binfactor.'))))\n"
+        "atexit.register(lambda: print('LOADED', [sorted(m.split('.')[1] for m in sys.modules"
+        " if m.startswith('binfactor.')), [m for m in ('numpy.polynomial', 'statistics')"
+        " if m in sys.modules]]))\n"
     )
     env = {**ENV, "PYTHONPATH": os.pathsep.join([str(hook), str(PACKAGE.parent)])}
+
+    def loaded_by(argv):
+        run = subprocess.run([sys.executable, *argv], cwd=tmp_path, env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        line = next(ln for ln in run.stdout.splitlines() if ln.startswith("LOADED "))
+        modules, others = ast.literal_eval(line[len("LOADED "):])
+        return set(modules), set(others)
+
+    numpy_alone = loaded_by(["-c", "import numpy"])[1]
     commands = {
         "fit": ["--data", "y.csv", "--d", "1", "--out", "m.json", "--threads", "1"],
         "score": ["--data", "y.csv", "--model", "m.json", "--out", "s.csv", "--threads", "1"],
@@ -166,13 +192,14 @@ def test_each_command_loads_only_its_modules(tmp_path):
         "selfcheck": [],
     }
     for command, flags in commands.items():
-        run = subprocess.run([sys.executable, "-m", "binfactor.cli", command, *flags],
-                             cwd=tmp_path, env=env, capture_output=True, text=True)
-        assert run.returncode == 0, run.stderr
-        line = next(ln for ln in run.stdout.splitlines() if ln.startswith("LOADED "))
-        loaded = set(ast.literal_eval(line[len("LOADED "):]))
+        loaded, others = loaded_by(["-m", "binfactor.cli", command, *flags])
         assert RUNS_ON[command] in loaded
         assert not loaded & NOT_LOADED[command], (command, sorted(loaded))
+        # The quadrature rule is held as literals, and only Phi^-1 needs
+        # statistics, which scoring never calls.
+        assert "numpy.polynomial" not in others - numpy_alone, command
+        if command == "score":
+            assert "statistics" not in others - numpy_alone
 
 
 def test_only_the_process_entry_freezes_the_collector(tmp_path):

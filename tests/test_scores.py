@@ -212,10 +212,11 @@ def unit_probit_model():
     )
 
 
-# |x| past any probability floor; the edges of erfcx's branches in
-# s = |x| / sqrt 2 (0, 3.5, 8 and 50), 3.5 with its float neighbours; and
-# s = 0.91 and s = 1, with its float neighbours, and |x| = 5, where Phi's
-# branches and the kernel's used to meet.
+# |x| past any probability floor; in s = |x| / sqrt 2, 0 and the seam of
+# erfcx's two rationals at 3.5, with its float neighbours, and 8 and 50,
+# where erfcx's branches used to meet; and s = 0.91 and s = 1, with its
+# float neighbours, and |x| = 5, where Phi's branches and the kernel's
+# used to meet.
 ROOT2 = math.sqrt(2.0)
 TAIL_MAGNITUDES = (
     0.0, 0.5, 0.91 * ROOT2, np.nextafter(ROOT2, 0.0), ROOT2, np.nextafter(ROOT2, 2.0),
@@ -565,8 +566,8 @@ class TestEstimateScores:
     def test_row_scored_alone_matches_block(self, d, monkeypatch):
         # A block of one row sums that row's components as a full block
         # does, whether the row is scored alone or every block holds one
-        # row.  The farthest row ends with a cell in erfcx's by-index
-        # branch, s = |x| / sqrt 2 >= 8.
+        # row.  The farthest row ends with a cell in erfcx's far rational,
+        # which it takes by index, at s = |x| / sqrt 2 >= 8.
         y, model = self._simulated(d=d, seed=29)
         block = estimate_scores(y, model)
         incl = _inclusion(model, 90.0)
