@@ -71,12 +71,10 @@ from .parallel import map_slices
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 HALF_PI = 0.5 * math.pi
 
-# erfcx(t) below this t is the one rational _ERFCX_P(t) / _ERFCX_Q(t),
-# degree (8, 8) with Q monic; from it on, sqrt(pi) t erfcx(t) = 1 - w
-# _ERFCX_FAR_P(w) / _ERFCX_FAR_Q(w) in w = (3.5 / t)^2, degree (6, 6) with Q
-# monic, where the correction w P / Q is at most 0.037.  Both are fitted in
-# relative error by ``tests/data/make_erfcx_rational.py``.
-_ERFCX_RATIONAL_END = 3.5
+# erfcx's rationals (see ``erfcx``), below this t of degree (8, 8) and from it
+# on of degree (6, 6), each with Q monic, fitted in relative error by
+# ``tests/data/make_erfcx_rational.py``.
+ERFCX_FAR_START = 3.5
 _ERFCX_P = (
     1.2367767053262477e-07, 0.5641842112057761, 9.595965415099466,
     76.011109182687, 361.9662416134334, 1119.8152018571134,
@@ -223,29 +221,36 @@ def erfcx(t, out=None, work=None):
 
     Below t = 3.5 one rational, ``_ERFCX_P(t) / _ERFCX_Q(t)``.  The values
     from 3.5 on are few and are taken by index through one rational in
-    w = (3.5 / t)^2: (1 - w ``_ERFCX_FAR_P(w) / _ERFCX_FAR_Q(w)``) /
-    (t sqrt(pi)), whose correction to 1 is at most 0.037, so that its own
-    rounding barely reaches the result.  ``tests/data/make_erfcx_rational.py``
-    fits both.  A value depends on its own t only.  Within 8e-16 relative
-    of mpmath below 3.5 and 3e-16 from 3.5 to 1e300; negative t gives nan.
-    The result goes to ``out`` and the denominator to ``work`` (the shape
-    of t), allocated when not given; neither may overlap t.
+    w = (3.5 / t)^2: (1 - w q) / (t sqrt(pi)), q = ``_ERFCX_FAR_P(w) /
+    _ERFCX_FAR_Q(w)``, whose correction w q to 1 is at most 0.037, so that
+    its rounding barely reaches the result.  ``tests/data/make_erfcx_rational.py``
+    fits both and checks q.  A value depends on its own t only.  Within 8e-16
+    relative of mpmath below 3.5 and 3e-16 from 3.5 to 1e300; negative t gives
+    nan.  The result goes to ``out`` and the denominator to ``work`` (the
+    shape of t), allocated when not given; neither may overlap t.
     """
+    return erfcx_parts(t, out, work)[0]
+
+
+def erfcx_parts(t, out=None, work=None):
+    """(erfcx, far, q): ``erfcx(t, out, work)``, the flat indices of the t at
+    or past ``ERFCX_FAR_START``, and their q, the far correction w q over w."""
     t = np.asarray(t, dtype=float)
     out = np.empty(t.shape) if out is None else out
     den = np.empty(t.shape) if work is None else work
     with np.errstate(over="ignore", invalid="ignore"):
         _polevl(t, _ERFCX_P, out)
         out /= _p1evl(t, _ERFCX_Q, den)
-        far = np.flatnonzero(t >= _ERFCX_RATIONAL_END)  # few values, taken by index
+        far = np.flatnonzero(t >= ERFCX_FAR_START)  # few values, taken by index
+        q = np.empty(far.size)
         if far.size:
             t_far = np.take(t, far)
-            w = np.square(_ERFCX_RATIONAL_END / t_far)
-            tail = _polevl(w, _ERFCX_FAR_P, np.empty(far.size))
-            tail /= _p1evl(w, _ERFCX_FAR_Q, np.empty(far.size))
-            np.put(out, far, (1.0 - w * tail) / t_far * _INV_SQRT_PI)
+            w = np.square(ERFCX_FAR_START / t_far)
+            _polevl(w, _ERFCX_FAR_P, q)
+            q /= _p1evl(w, _ERFCX_FAR_Q, np.empty(far.size))
+            np.put(out, far, (1.0 - w * q) / t_far * _INV_SQRT_PI)
         np.put(out, np.flatnonzero(t < 0.0), np.nan)
-    return out if out.ndim else out[()]
+    return (out if out.ndim else out[()]), far, q
 
 
 def _polevl(x, coefs, out):

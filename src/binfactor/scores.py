@@ -25,9 +25,9 @@ accepted point, and retires a row whose step leaves it in place (a
 stalled row).
 
 A row whose Newton step is certified, by the Lipschitz bound on the
-curvature, to land where the gradient norm is within the tolerance takes
-that step and converges without the evaluation that would confirm it; its
-reported gradient norm is then that upper bound, not a measured norm.
+curvature, which holds wherever its cells fall, to land within the gradient
+tolerance takes that step and converges without the evaluation confirming it;
+its reported gradient norm is then that upper bound, not a measured norm.
 
 Rows are cut into fixed shards of 8 blocks, or of as many whole blocks
 as fit in 8,192 rows where that is fewer; the cut depends on n and m
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import erfcx
+from .gaussian import ERFCX_FAR_START, erfcx_parts
 from .moments import BinaryMatrix
 from .parallel import map_slices
 from .spectral import TAU2_FLOOR, FactorModel
@@ -65,12 +65,12 @@ _SHARD_ROWS = 8192
 _PSI3_MAX = 0.2958
 # Rounding of one cell's dx, in ulps of sqrt(2 |ll cell|) + 2, on top of a
 # row sum's m (against 50-digit mpmath: at most 4.4 below |x| = 3.5 sqrt 2,
-# and 2.0 from there to |x| = 40, near |x| = 32.4).
+# and 2.3 from there to |x| = 1.5e154).
 _CELL_ULPS = 64
-# A curvature cell errs by at most _CURV_ERR while |x| <= _CERT_X_MAX (by
-# 6.9e-13 at |x| = 39.9 against mpmath); a row whose cells may pass that
-# |x| is never certified.
-_CERT_X_MAX, _CURV_ERR = 40.0, 2e-12
+# A curvature cell, in [0, 1], errs by at most _CURV_ERR at any |x|: by 2.4e-14
+# below |x| = 3.5 sqrt 2 against mpmath, and past it by 8.9e-16 on the small
+# side (q is checked by make_erfcx_rational.py --check), 4e-20 on the large.
+_CURV_ERR = 3e-14
 # A d <= 3 curvature whose determinant is at most this fraction of the
 # product of its diagonal is solved by LAPACK: the closed form's cofactors
 # cancel there, and near rounding level can give a zero step where LU does not.
@@ -309,20 +309,14 @@ def _certify(ll, g, curv, step, z, incl: _Inclusion, tol: float):
     errs by at most ``_CELL_ULPS`` ulps of that, so the gradient errs by
     at most m + ``_CELL_ULPS`` ulps of sqrt(-2 f K2) + 2 K1, with K1 and K2
     the means over p of |bt_j| and |bt_j|^2.  The curvature cells lie in
-    [0, 1], so |H| <= K2, and err by at most ``_CURV_ERR`` while
-    |x| <= 40 (``_kernel``); past that m (m - a) cancels and the
-    error grows as a^2 eps, so a row is certified only when every cell has
-    |x| <= max_j |bt_j| |z| + max_j |ct_j| <= 40 (``incl.reach``).  numpy
-    sums the ll cells pairwise, in eight interleaved partial sums below 128
-    cells, so ll errs by at most m/8 + 16 ulps of -f.
+    [0, 1], so |H| <= K2, and err by at most ``_CURV_ERR`` at any |x|
+    (``_kernel``).  numpy sums the ll cells pairwise, in eight interleaved
+    partial sums below 128 cells, so ll errs by at most m/8 + 16 ulps of -f.
     """
     sn = np.linalg.norm(step, axis=1)
     lip = incl.lipschitz
     bound = np.full(len(sn), np.inf)
-    b_max, c_max = incl.reach
-    near = np.flatnonzero(
-        (0.5 * lip * sn * sn <= tol) & (b_max * np.linalg.norm(z, axis=1) + c_max <= _CERT_X_MAX)
-    )
+    near = np.flatnonzero(0.5 * lip * sn * sn <= tol)
     ll, g, curv, step, z, sn = ll[near], g[near], curv[near], step[near], z[near], sn[near]
 
     m = incl.ct.size
@@ -352,11 +346,9 @@ class _Inclusion:
     sums in the symmetric matrix.  ``origin`` holds the kernel's (ll, dx,
     curvature) cells at z = 0, where x = -ct: three (2 x m) tables whose
     row k is a cell's value when y = k, built once per ``estimate_scores``
-    call.  A kernel block holds ``block_rows`` rows and a shard
-    ``shard_rows``.  ``lipschitz`` bounds the Lipschitz
-    constant of the Hessian of ll / p, ``norm_means`` holds the means over
-    p of |bt_j| and |bt_j|^2, and ``reach`` the largest |bt_j| and |ct_j|
-    (see ``_certify``).
+    call.  A kernel block holds ``block_rows`` rows and a shard ``shard_rows``.
+    ``lipschitz`` bounds the Lipschitz constant of the Hessian of ll / p, and
+    ``norm_means`` holds the means over p of |bt_j| and |bt_j|^2 (``_certify``).
     """
 
     mask: np.ndarray
@@ -368,7 +360,6 @@ class _Inclusion:
     shard_rows: int
     lipschitz: float
     norm_means: tuple
-    reach: tuple
 
     @property
     def bt(self) -> np.ndarray:
@@ -407,7 +398,6 @@ def _inclusion(model: FactorModel, m_percent: float) -> _Inclusion:
         shard_rows=block_rows * max(1, min(_SHARD_BLOCKS, _SHARD_ROWS // block_rows)),
         lipschitz=_PSI3_MAX * float(np.sum(norms**3)) / model.p,
         norm_means=(float(norms.sum()) / model.p, float(np.sum(norms**2)) / model.p),
-        reach=(float(norms.max(initial=0.0)), float(np.abs(affine[-1]).max(initial=0.0))),
     )
 
 
@@ -482,15 +472,16 @@ def _kernel(z1, y, affine, floats, neg):
     m = phi(a) / Phi(-a).  Weighted by each side's share of y it is the
     exact second derivative at fractional y as well.  The probit
     likelihood is log-concave, so both lie in [0, 1] and the Newton system
-    is positive semidefinite.  m (m - a) cancels as a grows: for |x| <= 40
-    it errs by at most 6.9e-13 against mpmath, about 4.3e-16 a^2, and below
-    |x| = 3.5 sqrt 2 by at most 2.1e-14.
+    is positive semidefinite.  m (m - a) cancels as a grows and errs by up to
+    2.4e-14 below s = 3.5 (against mpmath).  Past it E = (1 - w q) / (s sqrt
+    pi), w = (3.5 / s)^2, so the far cells take m - a = (24.5 / a) q / (1 - w
+    q), which cancels, overflows and underflows nowhere: 8.9e-16 in m (m - a).
 
     Every (rows x components) temporary is written in place, with ``out=``,
     into the buffers ``floats`` (7 x rows x components) and ``neg``
     (rows x components, boolean); the three results are views of them, and
-    ``erfcx`` takes one of the float buffers for its denominator before it
-    holds anything else.  Each value takes the same floating-point
+    ``erfcx_parts`` takes one of the float buffers for its denominator
+    before it holds anything else.  Each value takes the same floating-point
     operations in the same order as the plain expressions in the comments.
     The product x is one ``einsum`` that adds bt_1 z_1, ..., bt_d z_d and
     -ct in turn, not BLAS.  A cell's values depend only on its own x and y,
@@ -511,7 +502,7 @@ def _kernel(z1, y, affine, floats, neg):
     np.subtract(1.0, w, out=w_small)
 
     s = np.multiply(a, _SQRT_HALF, out=tail)
-    ex = erfcx(s, out=mills_small, work=log_large)  # E = 2 Phi(-a) exp(s^2)
+    ex, far, q = erfcx_parts(s, out=mills_small, work=log_large)  # E = 2 Phi(-a) exp(s^2)
     np.log(np.multiply(ex, 0.5, out=log_small), out=log_small)
     log_small -= np.multiply(s, s, out=s)  # log Phi(-a) = log(E / 2) - s^2
     np.exp(log_small, out=tail)  # Phi(-a)
@@ -530,6 +521,9 @@ def _kernel(z1, y, affine, floats, neg):
     mills_large += a
     mills_large *= w
     mills_small -= a
+    a_far = np.take(a, far)  # past s = 3.5, m_S - a = (24.5 / a) q / (1 - w q)
+    r = 2.0 * ERFCX_FAR_START**2 / a_far  # w = (3.5 / s)^2 = r / a
+    np.put(mills_small, far, r * q / (1.0 - r / a_far * q))
     mills_small *= w_small
     info = np.add(mills_large, mills_small, out=mills_large)
     # dx (1 - 2 neg): d|x|/dx = -1 where x < 0

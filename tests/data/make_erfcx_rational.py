@@ -42,8 +42,12 @@ prints them highest degree first, as ``_ERFCX_P`` and ``_ERFCX_Q`` and as
 within 4 ulps of the refit, and unless ``gaussian.erfcx`` is within
 ``BOUND`` relative of mpmath on 20,000 even and 20,000 seeded points of
 [0, 3.5), and on 20,000 even points of [3.5, 60] and 20,000 log-uniform
-seeded points of [3.5, 1e300].  mpmath's arithmetic is correctly rounded,
-so the refits are the same on every machine.  It takes 15-20 s.
+seeded points of [3.5, 1e300].  On the same far points the float64 far
+rational q = P(w) / Q(w) that ``gaussian.erfcx_parts`` returns, which the
+scoring kernel takes for its small-side curvature past 3.5, must be within
+``FAR_Q_BOUND`` relative of its mpmath value.  mpmath's arithmetic is
+correctly rounded, so the refits are the same on every machine.  It takes
+20-25 s.
 """
 
 import sys
@@ -56,18 +60,25 @@ NEAR_DEGREE, FAR_DEGREE = 8, 6
 POINTS = 400
 SK_STEPS, LAWSON_STEPS = 6, 40
 BOUND = 1e-15
+FAR_Q_BOUND = 5e-16
 
 
 def erfcx_mp(t):
     if t < 1e4:
         return mp.erfc(t) * mp.exp(t * t)
-    # The alternating asymptotic series errs by less than its first omitted
-    # term, far below 1e-40 here.
+    return (1 - correction_series(t) / (2 * t * t)) / (t * mp.sqrt(mp.pi))
+
+
+def correction_series(t):
+    """2 t^2 (1 - sqrt(pi) t erfcx(t)) = 1 - 3u + 15u^2 - ..., u = 1 / (2 t^2),
+    for t >= 1e4: the asymptotic series of erfcx with its leading 1 taken
+    out, so nothing cancels.  The alternating series errs by less than its
+    first omitted term, far below 1e-40 here."""
     u, term, total = 1 / (2 * t * t), mp.mpf(1), mp.mpf(0)
-    for k in range(30):
+    for k in range(1, 30):
         total += term
         term *= -(2 * k + 1) * u
-    return total / (t * mp.sqrt(mp.pi))
+    return total
 
 
 def far_target(w):
@@ -76,6 +87,8 @@ def far_target(w):
     if w == 0:
         return 1 / (2 * mp.mpf(T_END) ** 2)
     t = T_END / mp.sqrt(w)
+    if t >= 1e4:
+        return correction_series(t) / (2 * mp.mpf(T_END) ** 2)
     return (1 - mp.sqrt(mp.pi) * t * erfcx_mp(t)) / w
 
 
@@ -170,6 +183,16 @@ def check(fitted):
         print(f"float64 erfcx on {label}: worst {rel.max():.3g} relative at t = {worst_t!r}")
         if rel.max() > BOUND:
             failures.append(f"erfcx errs by {rel.max():.3g} > {BOUND:g} on {label}")
+    # The far rational q itself, which the scoring kernel takes for its
+    # small-side curvature past 3.5.
+    _, indices, q = gaussian.erfcx_parts(far)
+    rel = np.array([
+        float(abs(mp.mpf(g) / far_target((T_END / mp.mpf(v)) ** 2) - 1)) for g, v in zip(q, far)
+    ])
+    worst_t = float(far[rel.argmax()])
+    print(f"float64 far rational q on [{T_END}, 1e300]: worst {rel.max():.3g} relative at t = {worst_t!r}")
+    if indices.size != far.size or rel.max() > FAR_Q_BOUND:
+        failures.append(f"q errs by {rel.max():.3g} > {FAR_Q_BOUND:g} on [{T_END}, 1e300]")
     return failures
 
 

@@ -223,9 +223,19 @@ TAIL_MAGNITUDES = (
     3.0, 5.0, 8.0 * ROOT2, 50.0 * ROOT2, 8.0, 12.0, 20.0, 30.0, 40.0,
     np.nextafter(3.5 * ROOT2, 0.0), 3.5 * ROOT2, np.nextafter(3.5 * ROOT2, 9.0),
 )
-TAIL_POINTS = [(x, y) for x in TAIL_MAGNITUDES for y in (0, 1)] + [
-    (-x, y) for x in TAIL_MAGNITUDES if x > 0.0 for y in (0, 1)
-]
+
+
+def signed_points(magnitudes):
+    """(x, y) at each magnitude, on both signs and at both y."""
+    return [(x, y) for x in magnitudes for y in (0, 1)] + [
+        (-x, y) for x in magnitudes if x > 0.0 for y in (0, 1)
+    ]
+
+
+TAIL_POINTS = signed_points(TAIL_MAGNITUDES)
+# The curvature also past |x| = 40, where the small side's m (m - |x|) comes
+# from erfcx's far rational, up to where x^2 / 2 and then |x| near overflow.
+CURVATURE_POINTS = signed_points(TAIL_MAGNITUDES + (41.0, 1e3, 1e6, 1e154, 1e300))
 
 
 class TestTails:
@@ -303,17 +313,38 @@ class TestCurvature:
         info = evaluate_row(z, model, m_percent, y_bar)[2][0, 0]
         assert num_hess == pytest.approx(info, rel=0.02)
 
-    @pytest.mark.parametrize("x, y", TAIL_POINTS)
+    @pytest.mark.parametrize("x, y", CURVATURE_POINTS)
     def test_matches_mpmath(self, x, y):
         # -d^2/dt^2 log Phi(t) = lam(t) (lam(t) + t), lam = phi / Phi, at 40
-        # digits.  Past about 1e-290 the reference underflows in float64.
+        # digits.  For t < -1e3 that product cancels in about t^2, and
+        # mpmath's ncdf itself loses accuracy far out, so there it
+        # comes from erfcx's asymptotic series S = sum_k (-1)^k (2k - 1)!!
+        # u^k, u = 1 / t^2: lam = |t| / S and lam (lam + t) = T / S^2 with
+        # T = (1 - S) / u, which cancels nowhere.  Past about 1e-290 the
+        # reference underflows in float64.
         t = x if y == 1 else -x
         with mp.workdps(40):
-            lam = mp.npdf(t) / mp.ncdf(t)
-            oracle = lam * (lam + t)
-        val = evaluate_row(np.array([x]), unit_probit_model(), 100.0, np.array([y]))[2][0, 0]
+            if t < -1e3:
+                u = 1 / mp.mpf(t) ** 2
+                total, scaled, term = mp.mpf(1), mp.mpf(0), mp.mpf(1)
+                for k in range(1, 30):
+                    term *= -(2 * k - 1) * u
+                    total += term
+                    scaled -= term / u
+                oracle = scaled / total**2
+            else:
+                lam = mp.npdf(t) / mp.ncdf(t)
+                oracle = lam * (lam + t)
+        # Past |x| = 1.9e154, x^2 / 2 overflows, and with it the cell's ll,
+        # but not its curvature.
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = evaluate_row(np.array([x]), unit_probit_model(), 100.0, np.array([y]))[2][0, 0]
+        # The large side past s = 3.5 takes Phi(-a) as exp(log(E / 2) - s^2),
+        # which carries the rounding of s^2: up to 2.5e-13 relative at
+        # |x| = 37.3, but below 1e-5 in value and 4e-20 in absolute error.
+        rel = 1e-12 if t > 3.5 * ROOT2 else 5e-14
         if oracle > 1e-290:
-            assert val == pytest.approx(float(oracle), rel=1e-12, abs=0.0)
+            assert val == pytest.approx(float(oracle), rel=rel, abs=0.0)
         else:
             assert np.isfinite(val) and val >= 0.0
 
@@ -734,12 +765,13 @@ class TestCertifiedStep:
         assert np.all(certified.grad_norms[moved] >= evaluated.grad_norms[moved])
         assert np.all(certified.grad_norms[certified.converged] <= ScoreConfig().grad_tol)
 
-    def test_cells_past_kernel_accuracy_never_certified(self, monkeypatch):
+    def test_cells_past_forty_certified_where_bound_holds(self, monkeypatch):
         # A threshold of 45 noise units puts a cell past |x| = 40 at every
-        # point near the origin, where the curvature cells may err by more
-        # than the bound allows: no row is certified, so the scores are
-        # those of the uncertified run in every field.  Without that
-        # condition most rows would be.
+        # point near the origin.  Its curvature comes from erfcx's far
+        # rational and is as accurate there as anywhere, so most rows are
+        # certified; each certified row's bound is at least the gradient
+        # norm that the uncertified run measures at the same z + s, and
+        # both runs take the same steps to the same points.
         y, model = TestEstimateScores()._simulated(n=400, p=12, d=2, seed=39)
         far_c = model.c_hat.copy()
         far_c[0] = 45.0 * math.sqrt(model.tau2_hat[0])
@@ -748,15 +780,14 @@ class TestCertifiedStep:
             eigvals=model.eigvals,
         )
         cfg = ScoreConfig(m_percent=100.0)
-        a = estimate_scores(y, far, cfg)
+        certified = estimate_scores(y, far, cfg)
         monkeypatch.setattr(scores_module, "_PSI3_MAX", math.inf)
-        b = estimate_scores(y, far, cfg)
-        for field in ("z_hat", "iterations", "grad_norms", "converged"):
-            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
-        monkeypatch.undo()
-        monkeypatch.setattr(scores_module, "_CERT_X_MAX", math.inf)
-        unchecked = estimate_scores(y, far, cfg)
-        assert (unchecked.grad_norms != b.grad_norms).mean() > 0.5
+        evaluated = estimate_scores(y, far, cfg)
+        for field in ("z_hat", "iterations", "converged"):
+            np.testing.assert_array_equal(getattr(certified, field), getattr(evaluated, field))
+        moved = certified.grad_norms != evaluated.grad_norms
+        assert moved.mean() > 0.5
+        assert np.all(certified.grad_norms[moved] >= evaluated.grad_norms[moved])
 
     def test_floored_noise_never_certified(self, monkeypatch):
         # Noise variances of 4e-10, just above the 1e-10 floor that would
