@@ -476,22 +476,20 @@ def _panel_integrals(c1, c2, a, b):
     )
     rem = b - smooth_end
     floor = np.maximum(1e-7, 0.5 * (HALF_PI - b))
-    # Halvings: the least m >= 0 with rem / 2^m <= floor.  The logarithm
-    # can miss by one either way; the exact power-of-two tests correct it.
-    with np.errstate(divide="ignore"):
-        n_halved = np.maximum(0.0, np.ceil(np.log2(rem / floor)))
-    n_halved += np.ldexp(rem, -n_halved.astype(int)) > floor
-    n_halved -= (n_halved > 0.0) & (np.ldexp(rem, 1 - n_halved.astype(int)) <= floor)
+    # Halvings: the least m >= 0 with rem / 2^m <= floor, exactly, from the
+    # frexp parts rem = mr 2^er and floor = mf 2^ef: er - ef, plus 1 if mr > mf.
+    mr, er = np.frexp(rem)
+    mf, ef = np.frexp(floor)
+    n_halved = np.where(rem > 0.0, np.maximum(0, er - ef + (mr > mf)), 0)
     panels = (n_smooth + n_halved + (rem > 0.0)).astype(int)
 
     out = np.zeros(a.size)
     for k, idx in _panel_groups(panels):
         ks, a_k, b_k, s_k = n_smooth[idx, None], a[idx, None], b[idx, None], smooth_end[idx, None]
-        # Bound j is a + j * (smooth_end - a) / ks up to smooth_end, then
-        # b - rem / 2^(j - ks), and b itself last.
+        # Bound j is a + j * (smooth_end - a) / ks up to smooth_end (none if
+        # ks = 0), then b - rem / 2^(j - ks), and b itself last.
         j = np.arange(k + 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            uniform = j * ((s_k - a_k) / ks) + a_k
+        uniform = j * ((s_k - a_k) / np.maximum(ks, 1.0)) + a_k
         halved = b_k - np.ldexp(rem[idx, None], (ks - j).astype(int))
         bounds = np.where(
             j < ks, uniform, np.where(j == ks, s_k, np.where(j < k, halved, b_k))
@@ -561,7 +559,6 @@ def _invert(lo, hi, p):
     step = step_before = np.full(idx.size, 2.0)
     for it in range(1, _MAX_ITER + 1):
         f = _ell(lo, hi, x, anchor, diff) - p
-        df = _drho(lo, hi, x)
         iterations[idx] = it
         below = f < 0.0
         a, fa = np.where(below, x, a), np.where(below, f, fa)
@@ -582,8 +579,10 @@ def _invert(lo, hi, p):
         keep = ~done
         idx, lo, hi, p = idx[keep], lo[keep], hi[keep], p[keep]
         anchor, diff = anchor[keep], diff[keep]
-        a, b, fa, fb, x, f, df = a[keep], b[keep], fa[keep], fb[keep], x[keep], f[keep], df[keep]
+        a, b, fa, fb, x, f = a[keep], b[keep], fa[keep], fb[keep], x[keep], f[keep]
         step, step_before = step[keep], step_before[keep]
+        # Only the next step reads the slope, so finished pairs never pay for it.
+        df = _drho(lo, hi, x)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             newton = x - f / df
             use_newton = (newton > a) & (newton < b) & (np.abs(2.0 * f) <= np.abs(step_before * df))

@@ -29,6 +29,8 @@ if TYPE_CHECKING:  # annotations only: fit loads neither module
 MODEL_FORMAT_VERSION = 1
 
 METRICS_COLUMNS = ["scenario", "rep", "max_err", "subspace_d", "med_err", "tau_err", "error"]
+# The stages a replication times, in order: the keys of ``MetricsRecord.timings``.
+TIMING_COLUMNS = ["t_generate", "t_tetrachoric", "t_spectral", "t_scores"]
 
 # Score rows rendered per chunk of ``write_scores``, the unit of its workers.
 _SCORE_CHUNK_ROWS = 16384
@@ -216,8 +218,6 @@ def write_metrics(
     seeded experiment.  A message holding a comma, a quote, a newline or a
     carriage return is quoted, so every row keeps the header's columns.
     """
-    from .simulate import TIMING_COLUMNS  # loaded already: it made the records
-
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     # Before Python 3.12 a lone carriage return is quoted only if the line

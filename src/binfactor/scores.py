@@ -522,6 +522,9 @@ def _kernel(z1, y, affine, floats, neg):
     mills_large *= w
     mills_small -= a
     a_far = np.take(a, far)  # past s = 3.5, m_S - a = (24.5 / a) q / (1 - w q)
+    # 24.5 / a is formed here, not taken as w q from erfcx_parts: w = (3.5 / s)^2
+    # underflows past s ~ 2e154, and with it the curvature would be 0 at
+    # |x| = 1e300 (TestCurvature::test_matches_mpmath[1e+300-0]).
     r = 2.0 * ERFCX_FAR_START**2 / a_far  # w = (3.5 / s)^2 = r / a
     np.put(mills_small, far, r * q / (1.0 - r / a_far * q))
     mills_small *= w_small

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussian import bvn_upper_tail_batch, std_normal_cdf
+from .model_io import TIMING_COLUMNS
 from .moments import BinaryMatrix, TetrachoricMatrix, estimate_tetrachoric
 from .parallel import map_slices
 from .scores import LatentScores, ScoreConfig, estimate_scores, reconstruct
@@ -72,14 +73,14 @@ class TrueModel:
 
 @dataclass(frozen=True)
 class MetricsRecord:
-    """Per-replication metric row."""
+    """Per-replication metric row; a failed replication keeps the NaN metrics."""
 
     scenario: str
     rep: int
-    max_err: float
-    subspace_d: float
-    med_err: float
-    tau_err: float
+    max_err: float = float("nan")
+    subspace_d: float = float("nan")
+    med_err: float = float("nan")
+    tau_err: float = float("nan")
     timings: dict = field(default_factory=dict)
     error: str | None = None
 
@@ -204,15 +205,7 @@ def run_grid(
         try:
             return _run_one(scn, tm, r, score_config)
         except Exception as exc:  # noqa: BLE001 - per-replication isolation
-            return MetricsRecord(
-                scenario=scn.label,
-                rep=r,
-                max_err=float("nan"),
-                subspace_d=float("nan"),
-                med_err=float("nan"),
-                tau_err=float("nan"),
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            return MetricsRecord(scenario=scn.label, rep=r, error=f"{type(exc).__name__}: {exc}")
 
     return map_slices(one, len(jobs), 1, threads)
 
@@ -224,10 +217,6 @@ def run_replications(
 ) -> list[MetricsRecord]:
     """``run_grid`` on one scenario: its ``scn.reps`` records, in replication order."""
     return run_grid([scn], score_config, threads)
-
-
-# The stages ``_run_one`` times, in order: the keys of ``MetricsRecord.timings``.
-TIMING_COLUMNS = ["t_generate", "t_tetrachoric", "t_spectral", "t_scores"]
 
 
 def _run_one(

@@ -739,6 +739,54 @@ class TestBatchedKernel:
         np.testing.assert_array_equal(iterations, [r.iterations for r in alone])
         np.testing.assert_array_equal(clamped, [r.clamped for r in alone])
 
+    def test_panel_counts_exact_at_halving_edges(self, monkeypatch):
+        # With a >= pi/2 - 0.4 an interval has no uniform panels: it takes the
+        # least m >= 0 with rem / 2^m <= floor halvings and one last panel,
+        # where rem = b - a and floor = max(1e-7, (pi/2 - b) / 2).  Each cell
+        # puts rem at floor * 2^k, exactly where the floats hold that
+        # difference, and moves a by one ulp either side.  The floor is at
+        # its minimum for b >= pi/2, so those cells reach k = 30 with b up
+        # to 4 floor 2^k; a floor above it needs b < pi/2 - 2e-7 and so
+        # leaves rem below 0.4.
+        start, half_pi = gaussian._REFINE_START, gaussian.HALF_PI
+        a, b = [], []
+        for top in (half_pi, half_pi - 2.0**-20, half_pi - 3e-7):
+            floor = max(1e-7, 0.5 * (half_pi - top))
+            for k in range(31):
+                rem = np.ldexp(floor, k)
+                end = max(top, 4.0 * rem) if floor == 1e-7 else top
+                mid = end - rem
+                if mid >= start:
+                    a += [np.nextafter(mid, -np.inf), mid, np.nextafter(mid, np.inf)]
+                    b += [end] * 3
+        a += [1.5, 0.0]  # a = b, and an interval with no halved part
+        b += [1.5, 1.0]
+        a, b = np.array(a), np.array(b)
+
+        real_groups, seen = gaussian._panel_groups, []
+
+        def recording(panels):
+            seen.append(panels)
+            return real_groups(panels)
+
+        monkeypatch.setattr(gaussian, "_panel_groups", recording)
+        out = gaussian._panel_integrals(np.zeros(a.size), np.zeros(a.size), a, b)
+        assert np.all(np.isfinite(out))
+
+        rem = np.where(a < start, 0.0, b - a)
+        floor = np.maximum(1e-7, 0.5 * (half_pi - b))
+        m = np.zeros(a.size, dtype=int)
+        while (over := np.ldexp(rem, -m) > floor).any():
+            m += over
+        expected = np.where(rem > 0.0, m + 1, 0)
+        expected[-1] = 3  # [0, 1] in uniform panels of at most 0.4
+        np.testing.assert_array_equal(seen[0], expected)
+        assert set(m[:-2]) == set(range(32))
+        # Exact hits: k = 21..30 at the minimum floor, where 1e-7 * 2^k has
+        # no bit below 2^-52, and every k up to 0.4 of the other two floors.
+        exact = (rem > 0.0) & (rem == np.ldexp(floor, m))
+        assert exact.sum() == 10 + 20 + 22
+
     def test_iterations_bounded_on_round_trip_grid(self):
         # The 500 cells of acceptance criterion 2, where ell is exponentially
         # flat near -1 for some threshold pairs.
