@@ -107,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="gradient-norm stopping tolerance (default 1e-8)")
     score.add_argument("--max-iter", type=int, default=100,
                        help="iteration cap per sample (default 100)")
-    _add_threads(score, "row shards and render the output rows")
+    _add_threads(score, "row shares and render the output rows")
     score.set_defaults(func=_cmd_score)
 
     sim = sub.add_parser("simulate", help="run the Monte Carlo study")

@@ -2,9 +2,10 @@
 
 All writes go through a temp-file-plus-rename so a partial file never
 appears at the destination; the umask sets the file's mode, as for
-``open``.  Numbers are rendered with shortest round-trip decimal
-representation (Python ``repr``), which reproduces every float
-bit-exactly on reload.
+``open``.  Floats are written as Python ``repr`` writes them, the
+shortest decimal that reads back to the same float, so every float
+round-trips bit-exactly; the scores table renders them in numpy with the
+same bytes (``render``).
 """
 
 from __future__ import annotations
@@ -243,31 +244,25 @@ def write_metrics(
 def write_scores(scores: LatentScores, path, threads: int = 1) -> None:
     """Write latent scores plus convergence columns as CSV.
 
+    Each float is written as Python ``repr`` writes it (see ``render``).
     The rows are rendered in fixed chunks of ``_SCORE_CHUNK_ROWS`` on up to
     ``threads`` worker processes (see ``parallel``); the bytes are the same
     at any count.
     """
+    from .render import csv_rows  # only writing scores loads the renderer
+
     d = scores.z_hat.shape[1]
     header = [f"z_{k + 1}" for k in range(d)] + ["iterations", "grad_norm", "converged"]
     z_hat = np.asarray(scores.z_hat, dtype=float)
-    grad_norms = np.asarray(scores.grad_norms, dtype=float)
-    iterations, converged = np.asarray(scores.iterations), np.asarray(scores.converged)
-
-    def render(s: slice) -> str:
-        columns = [map(repr, z_hat[s, k].tolist()) for k in range(d)]
-        columns.append(_numerals(iterations[s]))
-        columns.append(map(repr, grad_norms[s].tolist()))
-        columns.append(_numerals(converged[s]))
-        return "\n".join(map(",".join, zip(*columns))) + "\n"
-
-    chunks = map_slices(render, len(z_hat), _SCORE_CHUNK_ROWS, threads)
-    _atomic_write(path, ",".join(header) + "\n" + "".join(chunks))
-
-
-def _numerals(values) -> list:
-    """``str`` of each value as an integer, rendered once per distinct value."""
-    distinct, index = np.unique(np.asarray(values).astype(int), return_inverse=True)
-    return np.array([str(v) for v in distinct.tolist()], dtype=object)[index].tolist()
+    columns = [z_hat[:, k] for k in range(d)] + [
+        np.asarray(scores.iterations).astype(np.int64),
+        np.asarray(scores.grad_norms, dtype=float),
+        np.asarray(scores.converged).astype(np.int64),
+    ]
+    chunks = map_slices(
+        lambda s: csv_rows([c[s] for c in columns]), len(z_hat), _SCORE_CHUNK_ROWS, threads
+    )
+    _atomic_write(path, b"".join([(",".join(header) + "\n").encode(), *chunks]))
 
 
 def _is_number(cell: str) -> bool:
@@ -282,7 +277,7 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _atomic_write(path, content: str) -> None:
+def _atomic_write(path, content: str | bytes) -> None:
     """Write ``content`` to a new file beside ``path``, then rename it there.
 
     The file is created with mode 0o666 less the umask, as ``open`` would
@@ -291,7 +286,7 @@ def _atomic_write(path, content: str) -> None:
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}~")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb" if isinstance(content, bytes) else "w") as fh:
             fh.write(content)
         os.replace(tmp, path)
     except BaseException:

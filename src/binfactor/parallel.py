@@ -1,9 +1,12 @@
-"""One executor for every parallel pass: score shards, inversion chunks,
+"""One executor for every parallel pass: score shares, inversion chunks,
 replications and the rows of the scores CSV.
 
-Work is cut into fixed, contiguous slices that depend only on its size,
-never on the worker count, and each slice's call returns its own results.
-So the outputs are bitwise the same at any number of workers.
+Work is cut into contiguous slices and each slice's call returns its own
+results.  The inversion chunks, replications and CSV rows are cut by the
+work's size alone, never by the worker count.  The score shares are sized
+by the worker count, one per worker, which is sound because a row's
+scores depend only on its own data, not on the rows beside it.  So the
+outputs are bitwise the same at any number of workers.
 
 The workers are processes, so that the slices' Python code runs on every
 core instead of taking turns for the interpreter lock.  Worker w runs

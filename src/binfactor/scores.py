@@ -17,10 +17,10 @@ blocks of rows that hold about 2^16 cells (max(1, 2^16 // m) rows of m
 included components, at most 8,192).  Each row's weighted sums are one
 ``einsum`` contraction along its own contiguous components, so its bits
 do not depend on the block.  The pass writes its temporaries into
-buffers that its shard allocates once.  At the origin a cell takes one
-of two values per column, which each call computes once into a table, so
-the first evaluation of an ascent from there gathers its cells from that
-table and sums them as any other.  The ascent keeps the values for each
+buffers that its share of rows allocates once.  At the origin a cell
+takes one of two values per column, which each call computes once into a
+table, so the first evaluation of an ascent from there gathers its cells
+from that table and sums them as any other.  The ascent keeps the values for each
 accepted point, and retires a row whose step leaves it in place (a
 stalled row).
 
@@ -29,11 +29,13 @@ curvature, which holds wherever its cells fall, to land within the gradient
 tolerance takes that step and converges without the evaluation confirming it;
 its reported gradient norm is then that upper bound, not a measured norm.
 
-Rows are cut into fixed shards of 8 blocks, or of as many whole blocks
-as fit in 8,192 rows where that is fewer; the cut depends on n and m
-only.  Each shard runs its whole ascent on its own, on up to ``threads``
-worker processes, and returns its moved points with its records; a row's
-steps are its own, so the scores are bitwise the same at any worker count.
+Rows are cut into one contiguous share per worker, ceil(n / threads)
+rows, or 2^16 where that is fewer.  Each share runs its whole ascent on
+its own, on up to ``threads`` worker processes, and returns its moved
+points with its records, so each worker pays the ascent's per-step
+overhead and waits for its slowest rows once.  A row's steps, blocks and
+solves depend on its own point and data only, so the scores are bitwise
+the same however the rows are cut, and at any worker count.
 """
 
 from __future__ import annotations
@@ -51,15 +53,13 @@ from .spectral import TAU2_FLOOR, FactorModel
 _ALPHA_MIN = 1e-12  # smallest step-halving factor before a step is abandoned
 
 # Cells per kernel pass: a block holds max(1, budget // m) rows of m
-# included components, and at most _SHARD_ROWS, so each of its float
+# included components, and at most _BLOCK_ROWS, so each of its float
 # temporaries stays at or below 512 KB whatever n and m are.
 _CELL_BUDGET = 2**16
-# A shard, the unit of the scoring workers, holds _SHARD_BLOCKS blocks, or
-# as many whole blocks as fit in _SHARD_ROWS rows where that is fewer (at
-# least one).  Each shard runs its own whole ascent, so the workers share
-# no per-step barrier, and narrow data still makes a shard per 8,192 rows.
-_SHARD_BLOCKS = 8
-_SHARD_ROWS = 8192
+_BLOCK_ROWS = 8192
+# Most rows in a share, the unit of the scoring workers, so that a share's
+# per-row records and moved points stay small whatever n is.
+_SHARE_ROWS = 2**16
 # max |psi'''| for psi = log Phi (0.295719 at x = 1.0024), rounded up.  A
 # cell's third derivative in x is at most this at any y in [0, 1].
 _PSI3_MAX = 0.2958
@@ -169,7 +169,7 @@ def estimate_scores(
     better point) stops too, since every later step would repeat it; it
     keeps ``converged=False``, its gradient norm and the steps it took.
     Rows are independent; the result does not depend on their order or on
-    ``threads``, the number of worker processes that run the row shards
+    ``threads``, the number of worker processes that run the row shares
     (see ``parallel``).
 
     Components take part when their noise scale passes the
@@ -198,12 +198,13 @@ def estimate_scores(
     # C-ordered copy gathers rows at a stride of one row.
     y_incl = np.ascontiguousarray(y.data[:, incl.mask])
 
-    def shard(s: slice):
+    def share(s: slice):
         records = _ascend(z[s], y_incl[s], incl, model.p, cfg, z0 is None)
         return (z[s], *records)  # the moved points: a worker shares no memory
 
-    shards = map_slices(shard, n, incl.shard_rows, threads)
-    z_hat, iters, gnorm, conv = (np.concatenate(parts) for parts in zip(*shards))
+    rows = max(1, min(-(-n // threads), _SHARE_ROWS))
+    shares = map_slices(share, n, rows, threads)
+    z_hat, iters, gnorm, conv = (np.concatenate(parts) for parts in zip(*shares))
     return LatentScores(z_hat=z_hat, iterations=iters, grad_norms=gnorm, converged=conv)
 
 
@@ -213,7 +214,7 @@ def reconstruct(model: FactorModel, scores: LatentScores) -> np.ndarray:
 
 
 def _ascend(z, y_incl, incl: _Inclusion, p: int, cfg: ScoreConfig, at_origin: bool):
-    """The ascent of ``estimate_scores`` for one shard of rows.
+    """The ascent of ``estimate_scores`` for one share of rows.
 
     Moves the points ``z`` in place and returns the rows' iterations,
     gradient norms and convergence flags.  ``steps`` is every active row's
@@ -346,7 +347,7 @@ class _Inclusion:
     sums in the symmetric matrix.  ``origin`` holds the kernel's (ll, dx,
     curvature) cells at z = 0, where x = -ct: three (2 x m) tables whose
     row k is a cell's value when y = k, built once per ``estimate_scores``
-    call.  A kernel block holds ``block_rows`` rows and a shard ``shard_rows``.
+    call.  A kernel block holds ``block_rows`` rows.
     ``lipschitz`` bounds the Lipschitz constant of the Hessian of ll / p, and
     ``norm_means`` holds the means over p of |bt_j| and |bt_j|^2 (``_certify``).
     """
@@ -357,7 +358,6 @@ class _Inclusion:
     unpack: np.ndarray
     origin: tuple
     block_rows: int
-    shard_rows: int
     lipschitz: float
     norm_means: tuple
 
@@ -387,7 +387,7 @@ def _inclusion(model: FactorModel, m_percent: float) -> _Inclusion:
     unpack = np.empty((d, d), dtype=int)
     unpack[k, l] = unpack[l, k] = np.arange(k.size)
     norms = np.linalg.norm(bt, axis=0)
-    block_rows = max(1, min(_CELL_BUDGET // max(m, 1), _SHARD_ROWS))
+    block_rows = max(1, min(_CELL_BUDGET // max(m, 1), _BLOCK_ROWS))
     return _Inclusion(
         mask=mask,
         affine=affine,
@@ -395,7 +395,6 @@ def _inclusion(model: FactorModel, m_percent: float) -> _Inclusion:
         unpack=unpack,
         origin=tuple(c.copy() for c in cells),
         block_rows=block_rows,
-        shard_rows=block_rows * max(1, min(_SHARD_BLOCKS, _SHARD_ROWS // block_rows)),
         lipschitz=_PSI3_MAX * float(np.sum(norms**3)) / model.p,
         norm_means=(float(norms.sum()) / model.p, float(np.sum(norms**2)) / model.p),
     )
@@ -403,7 +402,7 @@ def _inclusion(model: FactorModel, m_percent: float) -> _Inclusion:
 
 def _workspace(rows: int, m: int):
     """The kernel's temporaries for blocks of up to ``rows`` rows: seven float
-    and one boolean (rows x m) buffers, which a shard reuses throughout."""
+    and one boolean (rows x m) buffers, which a share reuses throughout."""
     return np.empty((7, rows, m)), np.empty((rows, m), dtype=bool)
 
 
@@ -464,6 +463,9 @@ def _kernel(z1, y, affine, floats, neg):
     pi) / E, log Phi(-a) = log(E / 2) - s^2 and Phi(-a) its exp, then log
     Phi(a) = log1p(-Phi(-a)) and phi(a) / Phi(a).  Nothing cancels or
     underflows on the way, so all stay accurate and finite while s^2 does.
+    Past |x| ~ 1.9e154 s^2 is inf: log Phi(-a) is then -inf, its correct
+    rounding, and a cell that gives the small side no weight takes its ll
+    from the large side alone; the derivatives stay finite.
     Below s = 3.5, where nearly all cells fall, E is one rational and a
     division; the cells past it take ``erfcx``'s far rational by index.
 
@@ -504,10 +506,15 @@ def _kernel(z1, y, affine, floats, neg):
     s = np.multiply(a, _SQRT_HALF, out=tail)
     ex, far, q = erfcx_parts(s, out=mills_small, work=log_large)  # E = 2 Phi(-a) exp(s^2)
     np.log(np.multiply(ex, 0.5, out=log_small), out=log_small)
-    log_small -= np.multiply(s, s, out=s)  # log Phi(-a) = log(E / 2) - s^2
+    with np.errstate(over="ignore"):  # s^2 is inf past |x| ~ 1.9e154
+        log_small -= np.multiply(s, s, out=s)  # log Phi(-a) = log(E / 2) - s^2
+    huge = far[np.isinf(np.take(s, far))]
     np.exp(log_small, out=tail)  # Phi(-a)
     np.divide(_SQRT_2_OVER_PI, ex, out=mills_small)  # phi(a) / Phi(-a)
     np.log1p(np.negative(tail, out=log_large), out=log_large)  # log Phi(a)
+    # Where s^2 is inf, log Phi(-a) is -inf, its correct rounding, and a
+    # cell that gives the small side no weight takes none of it (not 0 inf).
+    np.put(log_small, huge[np.take(w_small, huge) == 0.0], 0.0)
     # ll = w log Phi(a) + (1 - w) log Phi(-a)
     log_large *= w
     log_large += np.multiply(w_small, log_small, out=log_small)

@@ -382,13 +382,32 @@ class TestWriteMetrics:
         assert "t_tetrachoric" not in path.read_text()
 
 
+def repr_table(scores: LatentScores) -> str:
+    """The scores table as ``repr`` and ``str`` write its fields: the
+    reference for ``write_scores``."""
+    d = scores.z_hat.shape[1]
+    header = [f"z_{k + 1}" for k in range(d)] + ["iterations", "grad_norm", "converged"]
+    columns = [map(repr, np.asarray(scores.z_hat, dtype=float)[:, k].tolist()) for k in range(d)]
+    columns.append(map(str, np.asarray(scores.iterations).astype(int).tolist()))
+    columns.append(map(repr, np.asarray(scores.grad_norms, dtype=float).tolist()))
+    columns.append(map(str, np.asarray(scores.converged).astype(int).tolist()))
+    return ",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in zip(*columns))
+
+
 class TestWriteScores:
     def test_layout(self, tmp_path):
+        # Signed zeros, a subnormal, both sides of the switches to exponent
+        # notation at 1e-4 and 1e16, the largest finite value, a 17-digit
+        # tie, infinities and nan.
         scores = LatentScores(
-            z_hat=np.array([[0.5, -1.0], [1.5, 2.0], [1e-07, 1e16]]),
-            iterations=np.array([3, 4, 0]),
-            grad_norms=np.array([1e-9, 2e-9, 0.1]),
-            converged=np.array([True, False, True]),
+            z_hat=np.array([
+                [0.5, -1.0], [1.5, 2.0], [1e-07, 1e16], [-0.0, 5e-324],
+                [9.999999999999999e-05, 0.0001], [9999999999999998.0, -1.7976931348623157e308],
+                [1000000000000000.25, 0.1 + 0.2],
+            ]),
+            iterations=np.array([3, 4, 0, 100, 7, 12, 1]),
+            grad_norms=np.array([1e-9, 2e-9, 0.1, 0.0, np.inf, np.nan, 2.5e-16]),
+            converged=np.array([True, False, True, False, True, False, True]),
         )
         path = tmp_path / "s.csv"
         write_scores(scores, path)
@@ -397,7 +416,25 @@ class TestWriteScores:
             "0.5,-1.0,3,1e-09,1\n"
             "1.5,2.0,4,2e-09,0\n"
             "1e-07,1e+16,0,0.1,1\n"
+            "-0.0,5e-324,100,0.0,0\n"
+            "9.999999999999999e-05,0.0001,7,inf,1\n"
+            "9999999999999998.0,-1.7976931348623157e+308,12,nan,0\n"
+            "1000000000000000.2,0.30000000000000004,1,2.5e-16,1\n"
+        ) == repr_table(scores)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_score_tall_table_as_repr(self, tmp_path, threads):
+        # A table of score-tall's size and value ranges against repr.
+        rng = np.random.default_rng(23)
+        n = 100_000
+        scores = LatentScores(
+            z_hat=rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-6, 3, (n, 2)),
+            iterations=rng.integers(0, 24, n),
+            grad_norms=10.0 ** rng.uniform(-17.0, -8.0, n),
+            converged=rng.uniform(size=n) < 0.99,
         )
+        write_scores(scores, tmp_path / "s.csv", threads=threads)
+        assert (tmp_path / "s.csv").read_text() == repr_table(scores)
 
     def test_same_bytes_in_chunks_and_on_workers(self, tmp_path, monkeypatch):
         from binfactor import model_io

@@ -85,10 +85,11 @@ def likelihood_path(y, model):
 
 @pytest.fixture
 def blocks_of_1024(monkeypatch):
-    """Kernel blocks of 1024 rows, and shards of ``_SHARD_BLOCKS`` of them,
-    for the 9 included columns of ``TestEstimateScores._simulated``."""
+    """Kernel blocks of 1024 rows, for the 9 included columns of
+    ``TestEstimateScores._simulated``, and shares of at most 8 of them."""
     monkeypatch.setattr(scores_module, "_CELL_BUDGET", 1024 * 9)
-    return 1024, 1024 * scores_module._SHARD_BLOCKS
+    monkeypatch.setattr(scores_module, "_SHARE_ROWS", 8 * 1024)
+    return 1024, 8 * 1024
 
 
 class TestScoreConfig:
@@ -335,10 +336,14 @@ class TestCurvature:
             else:
                 lam = mp.npdf(t) / mp.ncdf(t)
                 oracle = lam * (lam + t)
-        # Past |x| = 1.9e154, x^2 / 2 overflows, and with it the cell's ll,
-        # but not its curvature.
-        with np.errstate(over="ignore", invalid="ignore"):
-            val = evaluate_row(np.array([x]), unit_probit_model(), 100.0, np.array([y]))[2][0, 0]
+        ll, _, info = evaluate_row(np.array([x]), unit_probit_model(), 100.0, np.array([y]))
+        val = info[0, 0]
+        # ll = log Phi(t) is never nan and at most 0.  On the large side it
+        # is finite; on the small side it is -inf, its correct rounding,
+        # once -t^2 / 2 overflows past |x| = 1.9e154.
+        assert ll <= 0.0 and not np.isnan(ll)
+        if t >= 0.0:
+            assert np.isfinite(ll)
         # The large side past s = 3.5 takes Phi(-a) as exp(log(E / 2) - s^2),
         # which carries the rounding of s^2: up to 2.5e-13 relative at
         # |x| = 37.3, but below 1e-5 in value and 4e-20 in absolute error.
@@ -528,7 +533,7 @@ class TestEstimateScores:
 
     @pytest.mark.parametrize("start", ["origin", "z0"])
     def test_bitwise_across_threads(self, start, blocks_of_1024):
-        # Two full shards and a remainder; a shard's rows take their own
+        # Two full shares and a remainder; a share's rows take their own
         # number of steps whichever thread runs it.
         _, shard = blocks_of_1024
         y, model = self._simulated(n=2 * shard + 77, seed=30)
@@ -545,7 +550,7 @@ class TestEstimateScores:
     @pytest.mark.parametrize("d", [1, 3])
     def test_origin_table_matches_general_path(self, d, threads, blocks_of_1024):
         # With no z0 the first evaluation is a table lookup; an explicit
-        # zero start takes the kernel's general path.  Two shards and a
+        # zero start takes the kernel's general path.  Two shares and a
         # remainder, each of several blocks.
         _, shard = blocks_of_1024
         y, model = self._simulated(n=2 * shard + 77, d=d, seed=32)
@@ -559,7 +564,7 @@ class TestEstimateScores:
     def test_origin_table_built_once_per_call(self, threads, monkeypatch, blocks_of_1024):
         # Rows that stop at their start take no step, so the only kernel
         # pass is the one that builds the origin table: once per call, not
-        # once per shard of the two and a remainder.
+        # once per share of the two and a remainder.
         _, shard = blocks_of_1024
         y, model = self._simulated(n=2 * shard + 77, seed=32)
         rows = []
@@ -620,13 +625,14 @@ class TestEstimateScores:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_wide_rows_span_shards(self, threads, monkeypatch):
         # At m >= 600 the cell budget leaves a block about a hundred rows,
-        # and a budget of 3 m leaves it three; n spans several shards under
-        # both.  The layout and the thread count leave every bit alone.
+        # and a budget of 3 m leaves it three; each of two shares spans
+        # several blocks under both.  The layout and the thread count leave
+        # every bit alone.
         y, model = self._simulated(n=2000, p=700, d=3, seed=34)
         incl = _inclusion(model, 90.0)
         m = incl.ct.size
         assert m >= 600 and incl.block_rows == scores_module._CELL_BUDGET // m
-        assert y.n > 2 * scores_module._SHARD_BLOCKS * incl.block_rows
+        assert y.n // 2 > 2 * incl.block_rows
         default = estimate_scores(y, model, threads=threads)
         monkeypatch.setattr(scores_module, "_CELL_BUDGET", 3 * m)
         few = estimate_scores(y, model, threads=threads)
@@ -636,20 +642,31 @@ class TestEstimateScores:
             np.testing.assert_array_equal(getattr(default, field), getattr(few, field))
             np.testing.assert_array_equal(getattr(few, field), getattr(reference, field))
 
-    @pytest.mark.parametrize("p", [1, 2, 9, 20, 50, 1000])
-    def test_shards_hold_at_most_8192_rows_of_narrow_data(self, p):
-        # Narrow data has blocks of thousands of rows; its shards still cut
-        # n at least as finely as 8,192-row shards, in whole blocks.
-        incl = _inclusion(make_model(p, 1, seed=38), 100.0)
-        m = incl.ct.size
-        assert m == p
-        assert incl.block_rows == max(1, min(scores_module._CELL_BUDGET // m, 8192))
-        assert incl.shard_rows % incl.block_rows == 0
-        assert incl.shard_rows <= 8192
-        assert incl.shard_rows <= scores_module._SHARD_BLOCKS * incl.block_rows
-        assert incl.shard_rows > 8192 - incl.block_rows or (
-            incl.shard_rows == scores_module._SHARD_BLOCKS * incl.block_rows
-        )
+    @pytest.mark.parametrize("cap", [None, 800])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_shares_leave_every_bit(self, threads, cap, monkeypatch, blocks_of_1024):
+        # One share per worker, of ceil(n / threads) rows or the cap where
+        # that is fewer: the rows' cut moves with the thread count and the
+        # cap, and no bit moves with it.
+        block, _ = blocks_of_1024
+        y, model = self._simulated(n=2 * block + 77, seed=39)
+        monkeypatch.setattr(scores_module, "_SHARE_ROWS", 10**9)
+        reference = estimate_scores(y, model, threads=1)
+        if cap is not None:
+            monkeypatch.setattr(scores_module, "_SHARE_ROWS", cap)
+        sizes = []
+        map_slices = scores_module.map_slices
+
+        def spy(fn, n, size, threads):
+            sizes.append(size)
+            return map_slices(fn, n, size, threads)
+
+        monkeypatch.setattr(scores_module, "map_slices", spy)
+        s = estimate_scores(y, model, threads=threads)
+        assert sizes == [min(-(-y.n // threads), cap or y.n)]
+        assert reference.iterations.min() < reference.iterations.max()
+        for field in ("z_hat", "iterations", "grad_norms", "converged"):
+            np.testing.assert_array_equal(getattr(s, field), getattr(reference, field))
 
     def test_stalled_rows_retire(self):
         # Below the rounding of the likelihood most rows cannot meet the
